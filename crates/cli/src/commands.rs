@@ -9,7 +9,9 @@ use mdr_analysis::{average_expected_cost, competitive_factor, expected_cost};
 use mdr_bench::sweep::{e17_fault_plan, e18_arq, preset, summary_table};
 use mdr_bench::{BenchSnapshot, RunCfg};
 use mdr_core::{trace_policy, CostModel, PolicySpec, Schedule};
-use mdr_sim::engine::{run_serve_bench, serve_bench_lines, ServeConfig, ServeEngine};
+use mdr_sim::engine::{
+    run_serve_bench, serve_bench_lines, write_response, ServeConfig, ServeEngine, ServeResponse,
+};
 use mdr_sim::perf::Stopwatch;
 use mdr_sim::sweep::{SweepGrid, SweepOptions};
 use mdr_sim::{
@@ -682,15 +684,15 @@ pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
 /// What the serve read loop needs from a daemon backend: the in-memory
 /// engine and the durable wrapper both qualify.
 trait LineServer {
-    fn handle_line(&mut self, line: &str) -> String;
+    fn handle_line_into(&mut self, line: &str, out: &mut String);
     fn is_done(&self) -> bool;
     /// Runs when stdin ends without a `shutdown` op.
     fn at_eof(&mut self) {}
 }
 
 impl LineServer for ServeEngine {
-    fn handle_line(&mut self, line: &str) -> String {
-        ServeEngine::handle_line(self, line)
+    fn handle_line_into(&mut self, line: &str, out: &mut String) {
+        ServeEngine::handle_line_into(self, line, out);
     }
     fn is_done(&self) -> bool {
         ServeEngine::is_done(self)
@@ -698,8 +700,8 @@ impl LineServer for ServeEngine {
 }
 
 impl LineServer for DurableServe {
-    fn handle_line(&mut self, line: &str) -> String {
-        DurableServe::handle_line(self, line)
+    fn handle_line_into(&mut self, line: &str, out: &mut String) {
+        DurableServe::handle_line_into(self, line, out);
     }
     fn is_done(&self) -> bool {
         DurableServe::is_done(self)
@@ -745,25 +747,58 @@ fn serve_durable(args: &Args, config: ServeConfig, dir: &str) -> Result<String, 
 }
 
 /// The shared stdin→stdout read loop over either serve backend.
+///
+/// Lines are read as raw bytes into one reused buffer and answered into
+/// one reused response buffer; a line that is not UTF-8 gets a
+/// `bad-request` response like any other malformed line. Responses go
+/// through a buffered writer that is flushed whenever the buffered input
+/// holds no complete line, i.e. just before the next read could block:
+/// a client that waits for each answer gets it at once, and a pipelined
+/// session pays one `write(2)` per batch rather than per line.
 fn serve_loop(server: &mut impl LineServer) -> Result<String, CliError> {
-    use std::io::{BufRead as _, Write as _};
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout().lock();
+    use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
+    let write_err = |e: std::io::Error| CliError(format!("cannot write stdout: {e}"));
+    let mut input = BufReader::new(std::io::stdin().lock());
+    let mut output = BufWriter::new(std::io::stdout().lock());
+    let mut line = Vec::new();
+    let mut response = String::new();
     let mut shut_down = false;
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| CliError(format!("cannot read stdin: {e}")))?;
-        if line.trim().is_empty() {
-            continue;
+    loop {
+        line.clear();
+        let read = input
+            .read_until(b'\n', &mut line)
+            .map_err(|e| CliError(format!("cannot read stdin: {e}")))?;
+        if read == 0 {
+            break;
         }
-        let response = server.handle_line(&line);
-        writeln!(stdout, "{response}")
-            .and_then(|()| stdout.flush())
-            .map_err(|e| CliError(format!("cannot write stdout: {e}")))?;
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        }
+        response.clear();
+        match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => {}
+            Ok(text) => server.handle_line_into(text, &mut response),
+            Err(e) => write_response(
+                &mut response,
+                &ServeResponse::bad_request(format!("line is not valid UTF-8: {e}")),
+            ),
+        }
+        if !response.is_empty() {
+            response.push('\n');
+            output.write_all(response.as_bytes()).map_err(write_err)?;
+        }
         if server.is_done() {
             shut_down = true;
             break;
         }
+        if !input.buffer().contains(&b'\n') {
+            output.flush().map_err(write_err)?;
+        }
     }
+    output.flush().map_err(write_err)?;
     if !shut_down {
         server.at_eof();
     }

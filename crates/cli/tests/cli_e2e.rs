@@ -227,3 +227,154 @@ fn bench_serve_reports_decisions_per_second() {
     assert!(stdout.contains("events/sec"), "{stdout}");
     assert!(stdout.contains("ledger digest: 0x"), "{stdout}");
 }
+
+#[test]
+fn serve_answers_non_utf8_lines_and_keeps_serving() {
+    use std::io::Write as _;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mdr"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin is piped")
+        .write_all(
+            b"\xff\xfe\n{\"op\":\"open\",\"tenant\":\"a\"}\n\
+              {\"op\":\"decide\",\"tenant\":\"a\",\"request\":\"r\"}\n",
+        )
+        .expect("stdin accepts the session");
+    let out = child.wait_with_output().expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("responses are UTF-8");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert!(
+        lines[0].starts_with(r#"{"err":"bad-request","detail":"#) && lines[0].contains("UTF-8"),
+        "{stdout}"
+    );
+    assert!(lines[1].starts_with(r#"{"ok":"open""#), "{stdout}");
+    assert!(lines[2].starts_with(r#"{"ok":"decision""#), "{stdout}");
+}
+
+/// A fresh scratch data directory for one durable test run.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("mdr-e2e-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Runs `session` against a spawned `mdr serve` on a helper thread; the
+/// test fails instead of hanging if the daemon holds a response back.
+fn serve_with_deadline(
+    args: Vec<String>,
+    session: impl FnOnce(std::process::ChildStdin, std::io::BufReader<std::process::ChildStdout>)
+        + Send
+        + 'static,
+) {
+    use std::process::Stdio;
+    use std::time::Duration;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mdr"))
+        .args(&args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary spawns");
+    let stdin = child.stdin.take().expect("stdin is piped");
+    let stdout = std::io::BufReader::new(child.stdout.take().expect("stdout is piped"));
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        session(stdin, stdout);
+        let _ = done.send(());
+    });
+    if finished.recv_timeout(Duration::from_secs(30)).is_err() {
+        // Unblock the session thread's read, then report the hang (or
+        // the panic that ended the thread early).
+        let _ = child.kill();
+        let _ = worker.join();
+        panic!("mdr serve {args:?} held a response back");
+    }
+    worker.join().expect("session thread");
+    assert!(child.wait().expect("daemon exits").success());
+}
+
+/// Writes one line and reads its response before anything else is sent.
+fn round_trip(
+    stdin: &mut std::process::ChildStdin,
+    stdout: &mut std::io::BufReader<std::process::ChildStdout>,
+    line: &str,
+) -> String {
+    use std::io::{BufRead as _, Write as _};
+    writeln!(stdin, "{line}").expect("daemon reads");
+    stdin.flush().expect("daemon reads");
+    let mut response = String::new();
+    stdout.read_line(&mut response).expect("daemon answers");
+    response
+}
+
+#[test]
+fn serve_answers_an_interactive_client_line_by_line() {
+    use std::io::Read as _;
+    for durable in [false, true] {
+        let dir = scratch_dir("interactive");
+        let mut args = vec!["serve".to_owned()];
+        if durable {
+            args.extend(["--data-dir".to_owned(), dir.display().to_string()]);
+        }
+        // Each response is read before the next request is written; the
+        // session ends with `shutdown`, whose answer must also arrive.
+        serve_with_deadline(args.clone(), |mut stdin, mut stdout| {
+            let (stdin, stdout) = (&mut stdin, &mut stdout);
+            let open = round_trip(
+                stdin,
+                stdout,
+                r#"{"op":"open","tenant":"a","policy":"SW1"}"#,
+            );
+            assert!(open.starts_with(r#"{"ok":"open""#), "{open}");
+            for (i, letter) in "rwrr".chars().enumerate() {
+                let line = format!(r#"{{"op":"decide","tenant":"a","request":"{letter}"}}"#);
+                let decided = round_trip(stdin, stdout, &line);
+                let seq = format!(r#""seq":{},"#, i + 1);
+                assert!(decided.contains(&seq), "{decided}");
+            }
+            let stats = round_trip(stdin, stdout, r#"{"op":"stats","tenant":"a"}"#);
+            assert!(stats.contains(r#""decided":4"#), "{stats}");
+            let shutdown = round_trip(stdin, stdout, r#"{"op":"shutdown"}"#);
+            assert!(shutdown.ends_with("\n"), "{shutdown}");
+            assert!(shutdown.starts_with(r#"{"ok":"shutdown""#), "{shutdown}");
+            let mut rest = String::new();
+            stdout.read_to_string(&mut rest).expect("daemon exits");
+            assert_eq!(rest, "", "nothing follows the shutdown response");
+        });
+        // A pipelined session that ends at EOF gets every response.
+        let _ = std::fs::remove_dir_all(&dir);
+        serve_with_deadline(args, |mut stdin, mut stdout| {
+            use std::io::Write as _;
+            let mut session = String::from("{\"op\":\"open\",\"tenant\":\"b\"}\n");
+            for _ in 0..500 {
+                session.push_str("{\"op\":\"decide\",\"tenant\":\"b\",\"request\":\"w\"}\n");
+            }
+            session.push_str("{\"op\":\"stats\"}");
+            stdin.write_all(session.as_bytes()).expect("daemon reads");
+            drop(stdin);
+            let mut out = String::new();
+            stdout
+                .read_to_string(&mut out)
+                .expect("daemon exits at EOF");
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(lines.len(), 502, "{out}");
+            assert!(lines[500].contains(r#""seq":500,"#), "{}", lines[500]);
+            assert!(lines[501].contains(r#""decisions":500"#), "{}", lines[501]);
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -13,7 +13,7 @@
 //! [`ServeEngine`] multiplexes many *tenants* — independent mobile
 //! computers, each with its own `DecisionCore` — behind a newline-JSON
 //! request/response wire format (`mdr serve` is a thin stdin/stdout loop
-//! around [`ServeEngine::handle_line`]). The engine adds admission
+//! around [`ServeEngine::handle_line_into`]). The engine adds admission
 //! control (a tenant cap and an optional decision budget, refusals
 //! reported as typed shed outcomes rather than errors), per-tenant
 //! snapshot/restore, and an optional §6-style adaptive mode that
@@ -31,7 +31,7 @@ use mdr_core::{
 };
 use serde::{de_field, de_object, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The snapshot format version this build writes and restores.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -777,6 +777,16 @@ pub enum ServeResponse {
     },
 }
 
+impl ServeResponse {
+    /// The `bad-request` error for a line or request the serving layer
+    /// cannot accept.
+    pub fn bad_request(reason: impl Into<String>) -> ServeResponse {
+        ServeEngine::error(&ConfigError::BadDecisionRequest {
+            reason: reason.into(),
+        })
+    }
+}
+
 impl Serialize for ServeResponse {
     fn to_value(&self) -> Value {
         let obj = |pairs: Vec<(&str, Value)>| {
@@ -1133,6 +1143,32 @@ impl ServeEngine {
         tenant.adapted = true;
     }
 
+    /// Decides one request letter for a tenant: the budget shed, a bad
+    /// letter and an unknown tenant come back as the refusal response.
+    /// Both the typed [`apply`](Self::apply) and the wire fast path
+    /// decide through here.
+    #[allow(clippy::result_large_err)] // the refusal is the wire response
+    pub(crate) fn decide(&mut self, tenant: &str, letter: char) -> Result<Decision, ServeResponse> {
+        if let Some(budget) = self.config.decision_budget {
+            if self.decisions >= budget {
+                return Err(ServeResponse::Shed {
+                    reason: ServeShedReason::BudgetExhausted,
+                    detail: format!("decision budget of {budget} exhausted"),
+                });
+            }
+        }
+        let req =
+            Request::from_letter(letter).map_err(|e| ServeResponse::bad_request(e.to_string()))?;
+        let adaptive = self.config.adaptive;
+        let t = self.tenant(tenant).map_err(|e| Self::error(&e))?;
+        let decision = t.core.decide(req);
+        if adaptive {
+            Self::maybe_adapt(t);
+        }
+        self.decisions += 1;
+        Ok(decision)
+    }
+
     /// Applies one typed request, returning exactly one typed response.
     /// Infallible by construction: failures are data.
     pub fn apply(&mut self, request: &ServeRequest) -> ServeResponse {
@@ -1183,32 +1219,13 @@ impl ServeEngine {
                     model: model.to_string(),
                 })
             }
-            ServeRequest::Decide { tenant, request } => {
-                if let Some(budget) = self.config.decision_budget {
-                    if self.decisions >= budget {
-                        return Ok(ServeResponse::Shed {
-                            reason: ServeShedReason::BudgetExhausted,
-                            detail: format!("decision budget of {budget} exhausted"),
-                        });
-                    }
-                }
-                let req = Request::from_letter(*request).map_err(|e| {
-                    ConfigError::BadDecisionRequest {
-                        reason: e.to_string(),
-                    }
-                })?;
-                let adaptive = self.config.adaptive;
-                let t = self.tenant(tenant)?;
-                let decision = t.core.decide(req);
-                if adaptive {
-                    Self::maybe_adapt(t);
-                }
-                self.decisions += 1;
-                Ok(ServeResponse::Decided {
+            ServeRequest::Decide { tenant, request } => Ok(match self.decide(tenant, *request) {
+                Ok(decision) => ServeResponse::Decided {
                     tenant: tenant.clone(),
                     decision,
-                })
-            }
+                },
+                Err(refusal) => refusal,
+            }),
             ServeRequest::Stats { tenant: None } => Ok(ServeResponse::ServerStats {
                 tenants: self.tenants.len(),
                 decisions: self.decisions,
@@ -1285,17 +1302,183 @@ impl ServeEngine {
     /// byte sequence produces exactly one JSON response line, never a
     /// panic.
     pub fn handle_line(&mut self, line: &str) -> String {
-        let response = match serde_json::from_str::<ServeRequest>(line) {
-            Ok(request) => self.apply(&request),
-            Err(e) => Self::error(&ConfigError::BadDecisionRequest {
-                reason: e.to_string(),
-            }),
-        };
-        let Ok(wire) = serde_json::to_string(&response) else {
-            unreachable!("every ServeResponse value serializes");
-        };
-        wire
+        let mut out = String::with_capacity(RESPONSE_CAPACITY);
+        self.handle_line_into(line, &mut out);
+        out
     }
+
+    /// [`handle_line`](Self::handle_line), appending the response to
+    /// `out` instead of returning it: a server that reuses one buffer
+    /// answers a `decide` line without allocating.
+    pub fn handle_line_into(&mut self, line: &str, out: &mut String) {
+        handle_line_with(self, line, out);
+    }
+}
+
+impl LineHandler for ServeEngine {
+    fn decide(&mut self, tenant: &str, letter: char) -> Result<Decision, ServeResponse> {
+        ServeEngine::decide(self, tenant, letter)
+    }
+
+    fn apply(&mut self, request: &ServeRequest) -> ServeResponse {
+        ServeEngine::apply(self, request)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The wire codec.
+// ---------------------------------------------------------------------------
+
+/// Starting capacity of a response [`ServeEngine::handle_line`] returns:
+/// enough for any `decide` answer, so the returned `String` is allocated
+/// once and never grown.
+pub(crate) const RESPONSE_CAPACITY: usize = 256;
+
+/// What the wire codec needs from a serving backend. [`ServeEngine`] and
+/// the journaling [`DurableServe`](crate::journal::DurableServe) both
+/// speak the wire format through [`handle_line_with`], so neither has a
+/// parse → apply → encode path of its own.
+pub(crate) trait LineHandler {
+    /// Decides one request letter for a tenant, or returns the refusal.
+    #[allow(clippy::result_large_err)] // the refusal is the wire response
+    fn decide(&mut self, tenant: &str, letter: char) -> Result<Decision, ServeResponse>;
+    /// Applies one parsed request.
+    fn apply(&mut self, request: &ServeRequest) -> ServeResponse;
+}
+
+/// The serve wire codec: answers one line into `out`. A line
+/// [`scan_decide`] recognizes is decided straight from borrowed slices of
+/// the input; every other line, malformed ones included, goes through
+/// the general parser, which owns every error message.
+pub(crate) fn handle_line_with(handler: &mut impl LineHandler, line: &str, out: &mut String) {
+    if let Some((tenant, letter)) = scan_decide(line) {
+        match handler.decide(tenant, letter) {
+            Ok(decision) => write_decided(out, tenant, &decision),
+            Err(refusal) => write_response(out, &refusal),
+        }
+        return;
+    }
+    let response = match serde_json::from_str::<ServeRequest>(line) {
+        Ok(request) => handler.apply(&request),
+        Err(e) => ServeResponse::bad_request(e.to_string()),
+    };
+    write_response(out, &response);
+}
+
+/// Recognizes the one line shape the serve hot path takes without
+/// building a `Value` tree: a flat JSON object whose keys are exactly
+/// `op`, `tenant` and `request`, each once and in any order, whose values
+/// are strings without escapes, with `op` equal to `decide` and a
+/// one-character `request`. Returns the borrowed tenant and the letter;
+/// `None` sends the line to the general parser.
+fn scan_decide(line: &str) -> Option<(&str, char)> {
+    let bytes = line.as_bytes();
+    let mut pos = 0;
+    let skip_ws = |pos: &mut usize| {
+        while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            *pos += 1;
+        }
+    };
+    let eat = |pos: &mut usize, byte: u8| {
+        let hit = bytes.get(*pos) == Some(&byte);
+        *pos += usize::from(hit);
+        hit
+    };
+    let plain_string = |pos: &mut usize| {
+        if bytes.get(*pos) != Some(&b'"') {
+            return None;
+        }
+        let start = *pos + 1;
+        let len = bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        let end = start + len;
+        if bytes[end] != b'"' {
+            return None;
+        }
+        *pos = end + 1;
+        line.get(start..end)
+    };
+    let (mut op, mut tenant, mut request) = (None, None, None);
+    skip_ws(&mut pos);
+    if !eat(&mut pos, b'{') {
+        return None;
+    }
+    for i in 0..3 {
+        skip_ws(&mut pos);
+        if i > 0 {
+            if !eat(&mut pos, b',') {
+                return None;
+            }
+            skip_ws(&mut pos);
+        }
+        let key = plain_string(&mut pos)?;
+        skip_ws(&mut pos);
+        if !eat(&mut pos, b':') {
+            return None;
+        }
+        skip_ws(&mut pos);
+        let value = plain_string(&mut pos)?;
+        // Exactly three pairs, and all three keys are required below, so
+        // a repeated key always leaves another one missing.
+        *match key {
+            "op" => &mut op,
+            "tenant" => &mut tenant,
+            "request" => &mut request,
+            _ => return None,
+        } = Some(value);
+    }
+    skip_ws(&mut pos);
+    if !eat(&mut pos, b'}') {
+        return None;
+    }
+    skip_ws(&mut pos);
+    if pos != bytes.len() || op? != "decide" {
+        return None;
+    }
+    let mut letters = request?.chars();
+    let letter = letters.next()?;
+    if letters.next().is_some() {
+        return None;
+    }
+    Some((tenant?, letter))
+}
+
+/// Appends one response in its wire form. `Decided` is written directly,
+/// field by field; every other variant goes through its [`Serialize`]
+/// impl.
+pub fn write_response(out: &mut String, response: &ServeResponse) {
+    if let ServeResponse::Decided { tenant, decision } = response {
+        write_decided(out, tenant, decision);
+        return;
+    }
+    let Ok(wire) = serde_json::to_string(response) else {
+        unreachable!("every ServeResponse value serializes");
+    };
+    out.push_str(&wire);
+}
+
+/// Appends the `Decided` response for `decision`, byte for byte what the
+/// [`Serialize`] impl prints, without building the `Value` tree. The
+/// action and verdict labels are fixed lower-case words that need no
+/// escaping.
+fn write_decided(out: &mut String, tenant: &str, d: &Decision) {
+    out.push_str(r#"{"ok":"decision","tenant":"#);
+    serde_json::write_string(out, tenant);
+    let _ = write!(
+        out,
+        r#","seq":{},"request":"{}","action":"{}","verdict":"{}","cost":"#,
+        d.seq,
+        d.request.letter(),
+        d.action,
+        d.verdict.label(),
+    );
+    serde_json::write_f64(out, d.cost);
+    let _ = write!(
+        out,
+        r#","data":{},"control":{},"connections":{},"has_copy":{},"staleness":{}}}"#,
+        d.data_messages, d.control_messages, d.connections, d.has_copy, d.staleness,
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1706,6 +1889,59 @@ mod tests {
             assert!(out.starts_with(r#"{"err":"#), "line {line:?} -> {out}");
         }
         assert_eq!(e.tenant_count(), 0, "no malformed open may half-succeed");
+    }
+
+    #[test]
+    fn hostile_nesting_is_one_bad_request_then_serving_continues() {
+        let mut e = engine();
+        open(&mut e, "a", "SW1");
+        let out = e.handle_line(&"[".repeat(200_000));
+        assert_eq!(
+            out,
+            r#"{"err":"bad-request","detail":"invalid configuration: malformed decision request: nesting deeper than 128 levels at byte 128"}"#
+        );
+        let out = e.handle_line(r#"{"op":"decide","tenant":"a","request":"r"}"#);
+        assert!(
+            out.starts_with(r#"{"ok":"decision","tenant":"a","seq":1,"#),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn decide_scan_takes_only_the_plain_flat_shape() {
+        for (line, want) in [
+            (
+                r#"{"op":"decide","tenant":"a","request":"r"}"#,
+                Some(("a", 'r')),
+            ),
+            (
+                " {\t\"request\" : \"w\",\r\n\"op\":\"decide\" , \"tenant\":\"tü\" } ",
+                Some(("tü", 'w')),
+            ),
+            (
+                r#"{"op":"decide","tenant":"","request":"x"}"#,
+                Some(("", 'x')),
+            ),
+            (r#"{"op":"decide","tenant":"a","request":"rw"}"#, None),
+            (r#"{"op":"decide","tenant":"a","request":""}"#, None),
+            (r#"{"op":"decide","tenant":"\u0061","request":"r"}"#, None),
+            (
+                r#"{"op":"decide","tenant":"a","request":"r","request":"w"}"#,
+                None,
+            ),
+            (r#"{"op":"decide","tenant":"a","tenant":"a"}"#, None),
+            (r#"{"op":"decide","tenant":"a","request":"r","x":1}"#, None),
+            (r#"{"op":"decide","tenant":"a","request":1}"#, None),
+            (r#"{"op":"open","tenant":"a","request":"r"}"#, None),
+            (r#"{"op":"decide","tenant":"a","request":"r"} x"#, None),
+            (r#"{"op":"decide","tenant":"a","request":"r""#, None),
+            (
+                "{\"op\":\"decide\",\"tenant\":\"a\u{1}\",\"request\":\"r\"}",
+                None,
+            ),
+        ] {
+            assert_eq!(scan_decide(line), want, "{line:?}");
+        }
     }
 
     #[test]

@@ -42,7 +42,8 @@
 //! re-running the adaptive trigger.
 
 use crate::engine::{
-    CoreSnapshot, DecisionCore, ServeConfig, ServeEngine, ServeRequest, ServeResponse,
+    handle_line_with, CoreSnapshot, Decision, DecisionCore, LineHandler, ServeConfig, ServeEngine,
+    ServeRequest, ServeResponse, RESPONSE_CAPACITY,
 };
 use crate::faults::ConfigError;
 use mdr_core::{CostModel, PolicySpec, Request};
@@ -145,33 +146,42 @@ fn push_str(body: &mut Vec<u8>, s: &str) {
 /// `[body-len u32][seq u64, kind u8, payload][fnv1a64(body) u64]`,
 /// all little-endian.
 pub fn encode_record(seq: u64, op: &JournalOp) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16);
-    body.extend_from_slice(&seq.to_le_bytes());
+    let mut frame = Vec::new();
+    encode_record_into(&mut frame, seq, op);
+    frame
+}
+
+/// [`encode_record`], appending the frame to `out` — the live journal
+/// encodes every append into one reused buffer.
+pub fn encode_record_into(out: &mut Vec<u8>, seq: u64, op: &JournalOp) {
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let body_at = out.len();
+    out.extend_from_slice(&seq.to_le_bytes());
     match op {
         JournalOp::Open { policy, model } => {
-            body.push(KIND_OPEN);
-            push_str(&mut body, policy);
-            push_str(&mut body, model);
+            out.push(KIND_OPEN);
+            push_str(out, policy);
+            push_str(out, model);
         }
         JournalOp::Decide { request } => {
-            body.push(KIND_DECIDE);
-            body.extend_from_slice(&u32::from(*request).to_le_bytes());
+            out.push(KIND_DECIDE);
+            out.extend_from_slice(&u32::from(*request).to_le_bytes());
         }
         JournalOp::Adopt { policy } => {
-            body.push(KIND_ADOPT);
-            push_str(&mut body, policy);
+            out.push(KIND_ADOPT);
+            push_str(out, policy);
         }
         JournalOp::Restore { snapshot } => {
-            body.push(KIND_RESTORE);
-            push_str(&mut body, snapshot);
+            out.push(KIND_RESTORE);
+            push_str(out, snapshot);
         }
-        JournalOp::Close => body.push(KIND_CLOSE),
+        JournalOp::Close => out.push(KIND_CLOSE),
     }
-    let mut frame = Vec::with_capacity(body.len() + 12);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
-    frame.extend_from_slice(&fnv1a64(&body).to_le_bytes());
-    frame
+    let body_len = (out.len() - body_at) as u32;
+    out[len_at..body_at].copy_from_slice(&body_len.to_le_bytes());
+    let checksum = fnv1a64(&out[body_at..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
 }
 
 /// Takes `n` bytes off the front of `input`, or fails totally.
@@ -653,12 +663,24 @@ pub struct DurableServe {
     stats: DurabilityStats,
     /// Monotonic counter that keeps quarantine directory names unique.
     quarantine_counter: u64,
+    /// Reused encode buffer for the records of one append.
+    frame: Vec<u8>,
 }
 
 fn io_err(path: &Path, e: &std::io::Error) -> ConfigError {
     ConfigError::DataDir {
         path: path.display().to_string(),
         reason: e.to_string(),
+    }
+}
+
+impl LineHandler for DurableServe {
+    fn decide(&mut self, tenant: &str, letter: char) -> Result<Decision, ServeResponse> {
+        DurableServe::decide(self, tenant, letter)
+    }
+
+    fn apply(&mut self, request: &ServeRequest) -> ServeResponse {
+        DurableServe::apply(self, request)
     }
 }
 
@@ -754,6 +776,7 @@ impl DurableServe {
                 stores,
                 stats,
                 quarantine_counter,
+                frame: Vec::new(),
             },
             report,
         ))
@@ -778,16 +801,39 @@ impl DurableServe {
     /// [`ServeEngine::handle_line`], with state changes journaled before
     /// the response is produced. Total: one line in, one JSON line out.
     pub fn handle_line(&mut self, line: &str) -> String {
-        let response = match serde_json::from_str::<ServeRequest>(line) {
-            Ok(request) => self.apply(&request),
-            Err(e) => ServeEngine::error(&ConfigError::BadDecisionRequest {
-                reason: e.to_string(),
-            }),
+        let mut out = String::with_capacity(RESPONSE_CAPACITY);
+        self.handle_line_into(line, &mut out);
+        out
+    }
+
+    /// [`handle_line`](Self::handle_line), appending the response to
+    /// `out` — the engine's wire codec over the journaling backend.
+    pub fn handle_line_into(&mut self, line: &str, out: &mut String) {
+        handle_line_with(self, line, out);
+    }
+
+    /// Decides through the engine, then journals the decision — plus the
+    /// §6 re-selection if it fired on this decision, so replay never has
+    /// to re-run the trigger — before the decision is acknowledged.
+    #[allow(clippy::result_large_err)] // the refusal is the wire response
+    fn decide(&mut self, tenant: &str, letter: char) -> Result<Decision, ServeResponse> {
+        let before = self.engine.tenant_policy(tenant);
+        let decision = self.engine.decide(tenant, letter)?;
+        let decide = JournalOp::Decide { request: letter };
+        let appended = match self.engine.tenant_policy(tenant) {
+            Some(spec) if before != Some(spec) => {
+                let adopt = JournalOp::Adopt {
+                    policy: spec.to_string(),
+                };
+                self.append_ops(tenant, &[decide, adopt])
+            }
+            _ => self.append_ops(tenant, std::slice::from_ref(&decide)),
         };
-        let Ok(wire) = serde_json::to_string(&response) else {
-            unreachable!("every ServeResponse value serializes");
-        };
-        wire
+        if let Err(error) = appended {
+            return Err(self.journal_failed(tenant, error));
+        }
+        self.maybe_checkpoint(tenant);
+        Ok(decision)
     }
 
     /// Applies one typed request with write-ahead durability. The order
@@ -808,10 +854,10 @@ impl DurableServe {
                     // wire grammar, so re-derive it from the live core.
                     // The open just succeeded, so the core exists; the
                     // fallback only keeps this branch total.
-                    let model = self.engine.tenant_core(tenant).map_or_else(
-                        || "connection".to_owned(),
-                        |core| model_wire(core.model()),
-                    );
+                    let model = self
+                        .engine
+                        .tenant_core(tenant)
+                        .map_or_else(|| "connection".to_owned(), |core| model_wire(core.model()));
                     let op = JournalOp::Open {
                         policy: policy.clone(),
                         model,
@@ -825,29 +871,13 @@ impl DurableServe {
             ServeRequest::Decide {
                 tenant,
                 request: letter,
-            } => {
-                let before = self.engine.tenant_policy(tenant);
-                let response = self.engine.apply(request);
-                if matches!(response, ServeResponse::Decided { .. }) {
-                    let mut ops = vec![JournalOp::Decide { request: *letter }];
-                    let after = self.engine.tenant_policy(tenant);
-                    if let Some(spec) = after {
-                        if before != Some(spec) {
-                            // The §6 adaptive re-selection fired on this
-                            // decision; journal it explicitly so replay
-                            // never has to re-run the trigger.
-                            ops.push(JournalOp::Adopt {
-                                policy: spec.to_string(),
-                            });
-                        }
-                    }
-                    if let Err(error) = self.append_ops(tenant, &ops) {
-                        return self.journal_failed(tenant, error);
-                    }
-                    self.maybe_checkpoint(tenant);
-                }
-                response
-            }
+            } => match self.decide(tenant, *letter) {
+                Ok(decision) => ServeResponse::Decided {
+                    tenant: tenant.clone(),
+                    decision,
+                },
+                Err(refusal) => refusal,
+            },
             ServeRequest::Restore { tenant, snapshot } => {
                 let response = self.engine.apply(request);
                 if matches!(response, ServeResponse::Restored { .. }) {
@@ -959,14 +989,14 @@ impl DurableServe {
                 reason: "no journal store is open for this tenant".to_owned(),
             });
         };
-        let mut frame = Vec::new();
+        self.frame.clear();
         for op in ops {
-            frame.extend_from_slice(&encode_record(store.next_seq, op));
+            encode_record_into(&mut self.frame, store.next_seq, op);
             store.next_seq += 1;
         }
         store
             .file
-            .write_all(&frame)
+            .write_all(&self.frame)
             .map_err(|e| io_err(&store.dir, &e))?;
         let appended = ops.len() as u64;
         self.stats.journal_appends += appended;
@@ -993,21 +1023,16 @@ impl DurableServe {
     /// Failure is deferred, not fatal: the journal still holds every
     /// acknowledged record.
     fn maybe_checkpoint(&mut self, tenant: &str) {
-        let due = self
-            .stores
-            .get(tenant)
-            .is_some_and(|s| s.since_checkpoint >= self.config.checkpoint_every);
-        if !due {
-            return;
-        }
-        let Some(mut store) = self.stores.remove(tenant) else {
+        let Some(store) = self.stores.get_mut(tenant) else {
             return;
         };
-        match Self::write_tenant_checkpoint(&self.engine, tenant, &mut store) {
+        if store.since_checkpoint < self.config.checkpoint_every {
+            return;
+        }
+        match Self::write_tenant_checkpoint(&self.engine, tenant, store) {
             Ok(()) => self.stats.checkpoints += 1,
             Err(_) => self.stats.checkpoint_failures += 1,
         }
-        self.stores.insert(tenant.to_owned(), store);
     }
 
     /// Checkpoints one tenant's current state atomically and compacts

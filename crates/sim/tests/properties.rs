@@ -3,10 +3,14 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use mdr_core::{approx_eq, run_spec, CostModel, PolicySpec, Request, Schedule};
+use mdr_core::{approx_eq, run_spec, Action, CostModel, PolicySpec, Request, Schedule};
 use mdr_sim::calendar::{key_lt, CalendarQueue};
-use mdr_sim::engine::{DecisionCore, ServeConfig, ServeEngine};
+use mdr_sim::engine::{
+    write_response, Decision, DecisionCore, ServeConfig, ServeEngine, ServeRequest, ServeResponse,
+    Verdict,
+};
 use mdr_sim::sweep::{SweepGrid, SweepOptions};
+use mdr_sim::ConfigError;
 use mdr_sim::{
     ArqConfig, ArrivalProcess, FaultPlan, PoissonWorkload, RunLimit, SimBuilder, Simulation,
     TopologyConfig, TraceWorkload,
@@ -632,6 +636,210 @@ proptest! {
         let a = stats(&mut engine, "a");
         prop_assert_eq!(&a, &stats(&mut engine, "b"));
         prop_assert_eq!(&a, &stats(&mut engine, "whole"));
+    }
+}
+
+/// Tenant ids as they appear on the wire: plain, unicode, empty, unknown,
+/// and spelled with escapes (`\u0061` is `a`, so that line reaches the
+/// same tenant only through the general parser).
+const WIRE_TENANTS: [&str; 8] = [
+    r#""a""#,
+    r#""b""#,
+    r#""tü""#,
+    r#""""#,
+    r#""ghost""#,
+    r#""\u0061""#,
+    r#""q\"t""#,
+    r#""t\u00fc""#,
+];
+
+/// One serve-grammar line drawn from `bits`, with mutations: JSON
+/// whitespace, key order, duplicate and unknown keys, non-string values,
+/// multi-character letters, other ops, truncation and trailing bytes.
+fn serve_line(bits: u64) -> String {
+    let mut bits = bits;
+    let mut pick = |n: u64| {
+        let v = bits % n;
+        bits /= n;
+        v as usize
+    };
+    if pick(5) < 3 {
+        // Most traffic is plain decides on open tenants, so budgets run
+        // out and the adaptive re-selection fires within one session.
+        let tenant = ["a", "b", "tü"][pick(3)];
+        let letter = ['r', 'w'][pick(2)];
+        return format!(r#"{{"op":"decide","tenant":"{tenant}","request":"{letter}"}}"#);
+    }
+    let tenant = WIRE_TENANTS[[0, 0, 1, 1, 2, 3, 4, 5, 6, 7][pick(10)]].to_owned();
+    let op = if pick(2) == 0 {
+        r#""decide""#
+    } else {
+        [
+            r#""decide""#,
+            r#""open""#,
+            r#""stats""#,
+            r#""Decide""#,
+            r#""decide ""#,
+            "7",
+        ][pick(6)]
+    };
+    let letter = [
+        r#""r""#, r#""w""#, r#""r""#, r#""w""#, r#""x""#, r#""rw""#, r#""""#, "1", "null",
+        r#"["r"]"#, r#""r""#, r#""é""#,
+    ][pick(12)];
+    let mut fields = vec![("op", op.to_owned()), ("tenant", tenant)];
+    if op == r#""open""# {
+        let policy = [
+            r#""SW1""#,
+            r#""SW3""#,
+            r#""T1(2)""#,
+            r#""T2(3)""#,
+            r#""ST1""#,
+        ][pick(5)];
+        fields.push(("policy", policy.to_owned()));
+    } else {
+        fields.push(("request", letter.to_owned()));
+    }
+    match pick(8) {
+        0 => fields.reverse(),
+        1 => fields.rotate_left(1),
+        2 => fields.push(fields[pick(3)].clone()),
+        3 => fields.push(("extra", ["1", r#""x""#, "{}"][pick(3)].to_owned())),
+        4 => fields.insert(0, ("request", r#""w""#.to_owned())),
+        _ => {}
+    }
+    let ws = ["", "", "", " ", "\t", "\n", "\r", "  "];
+    let mut line = String::from(ws[pick(8)]);
+    line.push('{');
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        line.push_str(ws[pick(8)]);
+        line.push_str(&format!("\"{key}\""));
+        line.push_str(ws[pick(8)]);
+        line.push(':');
+        line.push_str(ws[pick(8)]);
+        line.push_str(value);
+        line.push_str(ws[pick(8)]);
+    }
+    line.push('}');
+    line.push_str(ws[pick(8)]);
+    match pick(10) {
+        0 => {
+            let cut = pick(line.len() as u64);
+            let cut = (0..=cut)
+                .rev()
+                .find(|&i| line.is_char_boundary(i))
+                .unwrap_or(0);
+            line.truncate(cut);
+        }
+        1 => line.push_str(["x", "}", ",", "\u{0}", " {}"][pick(5)]),
+        _ => {}
+    }
+    line
+}
+
+/// The general wire path, spelled out: parse into [`ServeRequest`],
+/// [`ServeEngine::apply`], serialize — or the `bad-request` error.
+fn reference_line(engine: &mut ServeEngine, line: &str) -> String {
+    let response = match serde_json::from_str::<ServeRequest>(line) {
+        Ok(request) => engine.apply(&request),
+        Err(e) => ServeResponse::Error {
+            code: "bad-request".to_owned(),
+            detail: ConfigError::BadDecisionRequest {
+                reason: e.to_string(),
+            }
+            .to_string(),
+        },
+    };
+    serde_json::to_string(&response).unwrap_or_default()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The `decide` fast path is invisible on the wire: every line of a
+    /// mutated serve-grammar session gets, byte for byte, the answer of
+    /// the general parse → apply → serialize path on a clone of the same
+    /// engine, under the budget shed and the adaptive mode too.
+    #[test]
+    fn fast_decide_path_equals_the_general_path(
+        lines in prop::collection::vec(any::<u64>(), 1..800),
+        budget in prop_oneof![Just(None), (1u64..600).prop_map(Some)],
+        adaptive in any::<bool>(),
+    ) {
+        let config = ServeConfig {
+            decision_budget: budget,
+            adaptive,
+            ..ServeConfig::default()
+        };
+        let Ok(mut engine) = ServeEngine::new(config) else {
+            return Err(TestCaseError::fail("the serve config is valid"));
+        };
+        for open in [
+            r#"{"op":"open","tenant":"a","policy":"SW3"}"#,
+            r#"{"op":"open","tenant":"b","policy":"T1(2)","model":"message:0.25"}"#,
+            r#"{"op":"open","tenant":"tü","policy":"SW1","model":"message:0.5"}"#,
+            r#"{"op":"open","tenant":"q\"t"}"#,
+        ] {
+            engine.handle_line(open);
+        }
+        let mut reference = engine.clone();
+        for &bits in &lines {
+            let line = serve_line(bits);
+            let fast = engine.handle_line(&line);
+            let slow = reference_line(&mut reference, &line);
+            prop_assert_eq!(&fast, &slow, "line {:?}", line);
+        }
+        prop_assert_eq!(engine.decisions(), reference.decisions());
+    }
+
+    /// The direct `Decided` writer prints exactly what the `Serialize`
+    /// impl prints, for every action and arbitrary costs and counters.
+    #[test]
+    fn decided_writer_equals_the_serializer(
+        cost_bits in any::<u64>(),
+        seq in any::<u64>(),
+        counters in (any::<u64>(), 0u64..3, 0u64..3, any::<bool>()),
+        tenant in 0usize..6,
+    ) {
+        let (data_messages, control_messages, connections, has_copy) = counters;
+        let actions = [
+            Action::LocalRead,
+            Action::RemoteRead { allocates: false },
+            Action::RemoteRead { allocates: true },
+            Action::SilentWrite,
+            Action::PropagatedWrite { deallocates: false },
+            Action::PropagatedWrite { deallocates: true },
+            Action::DeleteRequestWrite,
+        ];
+        let costs = [0.0, 0.25, 1e-7, 1e21, 1.4, -0.0, f64::from_bits(cost_bits), f64::NAN];
+        let tenant = ["a", "tü", "", "q\"t\\", "tab\tnl\n", "\u{1}"][tenant];
+        for (i, action) in actions.into_iter().enumerate() {
+            for cost in costs {
+                let decision = Decision {
+                    seq,
+                    request: if action.is_read_action() { Request::Read } else { Request::Write },
+                    action,
+                    verdict: Verdict::of(action),
+                    data_messages,
+                    control_messages,
+                    connections,
+                    cost,
+                    has_copy: has_copy ^ (i % 2 == 0),
+                    staleness: seq / 3,
+                };
+                let response = ServeResponse::Decided {
+                    tenant: tenant.to_owned(),
+                    decision,
+                };
+                let mut direct = String::from("prefix");
+                write_response(&mut direct, &response);
+                let serialized = serde_json::to_string(&response).unwrap_or_default();
+                prop_assert_eq!(&direct["prefix".len()..], serialized.as_str());
+            }
+        }
     }
 }
 
