@@ -9,10 +9,8 @@
 //! which fails the build when a run regresses beyond its tolerance —
 //! or, harder, when the ledger digest drifts at all.
 //!
-//! The schema is serde-typed end to end (the previous ad-hoc
-//! `CRITERION_JSON` env-var plumbing wrote untyped strings nobody could
-//! diff or gate): [`BenchSnapshot::to_json`] / [`BenchSnapshot::parse`]
-//! round-trip the exact struct, [`BenchSnapshot::compare`] renders a
+//! The schema is serde-typed end to end: [`BenchSnapshot::to_json`] /
+//! [`BenchSnapshot::parse`] round-trip the exact struct, [`BenchSnapshot::compare`] renders a
 //! [`RegressionVerdict`], and [`BenchSnapshot::merge`] pools snapshots
 //! into a fleet-wide throughput figure the same way
 //! [`PerfStats::merge`](mdr_sim::perf::PerfStats::merge) pools run

@@ -92,6 +92,20 @@ fn errors_exit_nonzero_with_guidance() {
 }
 
 #[test]
+fn oversized_policy_is_a_usage_error_not_an_abort() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mdr"))
+        .args(["simulate", "--policy", "SW999999999999"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("must be at most 65535, got 999999999999"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn recommend_matches_the_paper_guidance_via_process() {
     let (stdout, _, ok) = mdr(&["recommend", "--omega", "0.45"]);
     assert!(ok);

@@ -21,7 +21,8 @@
 //! * [`RequestWindow`] — the k-bit window the SWk protocol ships between
 //!   the MC and the SC;
 //! * [`run_policy`] / [`trace_policy`] — reference execution with exact
-//!   cost accounting.
+//!   cost accounting;
+//! * [`hash`] — the workspace's only FNV-1a and SplitMix64.
 //!
 //! The closed-form analysis lives in `mdr-analysis`, the distributed
 //! protocol simulation in `mdr-sim`, the offline adversary in
@@ -47,6 +48,8 @@
 
 mod action;
 mod cost;
+/// FNV-1a and SplitMix64 behind every pinned §3 ledger digest and seed.
+pub mod hash;
 mod policy;
 mod request;
 mod run;
@@ -56,7 +59,8 @@ mod window;
 pub use action::{Action, ActionCounts};
 pub use cost::{approx_eq, CostModel, ParseModelError, COST_EPSILON};
 pub use policy::{
-    AdaptivePolicy, AllocationPolicy, ParsePolicyError, PolicySpec, SlidingWindow, St1, St2, T1, T2,
+    AdaptivePolicy, AllocationPolicy, InvalidPolicy, ParsePolicyError, PolicySpec, SlidingWindow,
+    St1, St2, MAX_POLICY_PARAM, T1, T2,
 };
 pub use request::{ParseRequestError, Request};
 pub use run::{run_policy, run_spec, trace_policy, RunOutcome, TraceStep};

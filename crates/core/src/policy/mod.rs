@@ -40,14 +40,6 @@ pub trait AllocationPolicy {
     /// `Display`.
     fn spec(&self) -> Option<PolicySpec>;
 
-    /// A short human-readable name, e.g. `"SW5"` or `"T1(3)"`.
-    #[deprecated(note = "stringly identity that allocates per call; use `spec()` and \
-                `PolicySpec`'s `Display` instead")]
-    fn name(&self) -> String {
-        self.spec()
-            .map_or_else(|| "unnamed".to_owned(), |spec| spec.to_string())
-    }
-
     /// Whether the mobile computer currently holds a replica.
     fn has_copy(&self) -> bool;
 
@@ -102,8 +94,75 @@ pub enum PolicySpec {
     },
 }
 
+/// The largest window size `k` (§4) and threshold `m` (§7.1) a
+/// [`PolicySpec`] may carry. It caps an SWk window at 8 KiB (a byte per
+/// request), so a hostile spec cannot make a window allocation exhaust
+/// memory; every parameter the paper's experiments use is far below it.
+pub const MAX_POLICY_PARAM: usize = 65_535;
+
+/// Why a [`PolicySpec`]'s parameter is not a valid §4/§7.1 policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvalidPolicy {
+    /// A window size `k` that is even or zero (§4: "k, the window size, is
+    /// odd", so the majority vote is never tied).
+    EvenWindow {
+        /// The rejected window size.
+        k: usize,
+    },
+    /// A T1m/T2m threshold `m` of zero (§7.1 requires `m ≥ 1`).
+    ZeroThreshold,
+    /// A `k` (§4) or `m` (§7.1) above [`MAX_POLICY_PARAM`].
+    TooLarge {
+        /// The rejected parameter.
+        value: usize,
+    },
+}
+
+impl fmt::Display for InvalidPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            InvalidPolicy::EvenWindow { k } => {
+                write!(f, "window size must be odd and positive, got {k}")
+            }
+            InvalidPolicy::ZeroThreshold => f.write_str("threshold m must be at least 1"),
+            InvalidPolicy::TooLarge { value } => {
+                write!(
+                    f,
+                    "policy parameter must be at most {MAX_POLICY_PARAM}, got {value}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for InvalidPolicy {}
+
 impl PolicySpec {
+    /// Checks the spec's parameter against the paper's rules — an odd
+    /// positive window size `k` (§4) and a threshold `m ≥ 1` (§7.1) — and
+    /// against [`MAX_POLICY_PARAM`]. This is the one definition of a valid
+    /// policy: parsing, the simulator builders, and the serving layer's
+    /// open, restore and journal replay all go through it.
+    pub fn validate(self) -> Result<PolicySpec, InvalidPolicy> {
+        match self {
+            PolicySpec::SlidingWindow { k } if k % 2 == 0 => Err(InvalidPolicy::EvenWindow { k }),
+            PolicySpec::T1 { m: 0 } | PolicySpec::T2 { m: 0 } => Err(InvalidPolicy::ZeroThreshold),
+            PolicySpec::SlidingWindow { k: value }
+            | PolicySpec::T1 { m: value }
+            | PolicySpec::T2 { m: value }
+                if value > MAX_POLICY_PARAM =>
+            {
+                Err(InvalidPolicy::TooLarge { value })
+            }
+            _ => Ok(self),
+        }
+    }
+
     /// Instantiates the described §2/§7.1 policy in its initial state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec fails [`PolicySpec::validate`].
     pub fn build(&self) -> Box<dyn AllocationPolicy> {
         match *self {
             PolicySpec::St1 => Box::new(St1::new()),
@@ -112,14 +171,6 @@ impl PolicySpec {
             PolicySpec::T1 { m } => Box::new(T1::new(m)),
             PolicySpec::T2 { m } => Box::new(T2::new(m)),
         }
-    }
-
-    /// The policy's display name as written in the paper (§2, §7.1) —
-    /// `ST1`, `SW3`, `T1(m)`, …
-    #[deprecated(note = "allocated a boxed policy per call just to render a string; \
-                use the `Display` impl (`format!(\"{spec}\")`) instead")]
-    pub fn name(&self) -> String {
-        self.to_string()
     }
 
     /// All the policies the paper compares (§2, §7.1; the Figure 1 and
@@ -156,11 +207,19 @@ impl fmt::Display for PolicySpec {
 /// Error from parsing a [`PolicySpec`] out of its textual notation (the
 /// paper's §2/§4/§7.1 names: ST1, ST2, SWk, T1m, T2m).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsePolicyError(String);
+pub enum ParsePolicyError {
+    /// Not a §2/§4/§7.1 name with a decimal parameter (the message).
+    Syntax(String),
+    /// A parameter that fails [`PolicySpec::validate`] (§4, §7.1).
+    Invalid(InvalidPolicy),
+}
 
 impl fmt::Display for ParsePolicyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        match self {
+            ParsePolicyError::Syntax(message) => f.write_str(message),
+            ParsePolicyError::Invalid(invalid) => invalid.fmt(f),
+        }
     }
 }
 
@@ -171,10 +230,12 @@ impl std::str::FromStr for PolicySpec {
 
     /// Parses the paper's notation, case-insensitively: `ST1`, `ST2`,
     /// `SW<k>`, and `T1(m)` / `T2(m)` (also accepted with a colon,
-    /// `T1:m`). The inverse of the `Display` impl, with the §4/§7.1
-    /// parameter constraints enforced (odd positive `k`, `m ≥ 1`).
+    /// `T1:m`). The inverse of the `Display` impl; the parameter must pass
+    /// [`PolicySpec::validate`] (§4, §7.1).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let up = s.to_ascii_uppercase();
+        let syntax = |what: &str| ParsePolicyError::Syntax(format!("invalid {what} in {s:?}"));
+        let checked = |spec: PolicySpec| spec.validate().map_err(ParsePolicyError::Invalid);
         if up == "ST1" {
             return Ok(PolicySpec::St1);
         }
@@ -182,33 +243,21 @@ impl std::str::FromStr for PolicySpec {
             return Ok(PolicySpec::St2);
         }
         if let Some(k) = up.strip_prefix("SW") {
-            let k: usize = k
-                .parse()
-                .map_err(|_| ParsePolicyError(format!("invalid window size in {s:?}")))?;
-            if k == 0 || k % 2 == 0 {
-                return Err(ParsePolicyError(format!(
-                    "window size must be odd and positive, got {k}"
-                )));
-            }
-            return Ok(PolicySpec::SlidingWindow { k });
+            let k: usize = k.parse().map_err(|_| syntax("window size"))?;
+            return checked(PolicySpec::SlidingWindow { k });
         }
         for (prefix, is_t1) in [("T1:", true), ("T2:", false), ("T1(", true), ("T2(", false)] {
             if let Some(rest) = up.strip_prefix(prefix) {
                 let digits = rest.trim_end_matches(')');
-                let m: usize = digits
-                    .parse()
-                    .map_err(|_| ParsePolicyError(format!("invalid threshold in {s:?}")))?;
-                if m == 0 {
-                    return Err(ParsePolicyError("threshold m must be at least 1".into()));
-                }
-                return Ok(if is_t1 {
+                let m: usize = digits.parse().map_err(|_| syntax("threshold"))?;
+                return checked(if is_t1 {
                     PolicySpec::T1 { m }
                 } else {
                     PolicySpec::T2 { m }
                 });
             }
         }
-        Err(ParsePolicyError(format!(
+        Err(ParsePolicyError::Syntax(format!(
             "unknown policy {s:?}; expected ST1, ST2, SW<k>, T1(m) or T2(m)"
         )))
     }
@@ -226,18 +275,6 @@ mod tests {
         assert_eq!(PolicySpec::SlidingWindow { k: 7 }.to_string(), "SW7");
         assert_eq!(PolicySpec::T1 { m: 3 }.to_string(), "T1(3)");
         assert_eq!(PolicySpec::T2 { m: 5 }.to_string(), "T2(5)");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_name_paths_match_display() {
-        // Back-compat pin: the deprecated stringly paths must keep
-        // producing the bytes the reports were built on until they are
-        // removed.
-        for spec in PolicySpec::roster(&[1, 9], &[2]) {
-            assert_eq!(spec.name(), spec.to_string());
-            assert_eq!(spec.build().name(), spec.to_string());
-        }
     }
 
     #[test]
@@ -267,6 +304,43 @@ mod tests {
         assert!("T1(0)".parse::<PolicySpec>().is_err());
         assert!("LRU".parse::<PolicySpec>().is_err());
         assert!("SWx".parse::<PolicySpec>().is_err());
+        let invalid = |s: &str| match s.parse::<PolicySpec>() {
+            Err(ParsePolicyError::Invalid(invalid)) => invalid.to_string(),
+            other => panic!("{s}: {other:?}"),
+        };
+        // The messages are pinned by the serve fixture and docs/serve.md.
+        assert_eq!(
+            invalid("SW4"),
+            "window size must be odd and positive, got 4"
+        );
+        assert_eq!(
+            invalid("T1(18446744073709551615)"),
+            format!("policy parameter must be at most 65535, got {}", usize::MAX)
+        );
+    }
+
+    #[test]
+    fn validate_is_the_one_parameter_rule() {
+        let max = MAX_POLICY_PARAM;
+        for spec in PolicySpec::roster(&[1, max], &[1, max]) {
+            assert_eq!(spec.validate(), Ok(spec));
+        }
+        let sw = |k| PolicySpec::SlidingWindow { k };
+        let too_large = |value| Err(InvalidPolicy::TooLarge { value });
+        assert_eq!(sw(0).validate(), Err(InvalidPolicy::EvenWindow { k: 0 }));
+        assert_eq!(sw(8).validate(), Err(InvalidPolicy::EvenWindow { k: 8 }));
+        assert_eq!(
+            PolicySpec::T2 { m: 0 }.validate(),
+            Err(InvalidPolicy::ZeroThreshold)
+        );
+        assert_eq!(sw(max + 2).validate(), too_large(max + 2));
+        assert_eq!(PolicySpec::T1 { m: max + 1 }.validate(), too_large(max + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535")]
+    fn build_rejects_an_oversized_window_without_allocating() {
+        let _ = PolicySpec::SlidingWindow { k: 999_999_999_999 }.build();
     }
 
     #[test]

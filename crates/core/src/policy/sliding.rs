@@ -45,7 +45,7 @@ impl SlidingWindow {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is zero or even (§4 assumes odd `k`).
+    /// Panics if `k` is zero, even (§4 assumes odd `k`) or too large.
     pub fn new(k: usize) -> Self {
         Self::with_window(RequestWindow::filled(k, Request::Write))
     }

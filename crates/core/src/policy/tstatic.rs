@@ -46,9 +46,11 @@ impl T1 {
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0` (the phase change would be triggered vacuously).
+    /// Panics if `m == 0` (the phase change would be triggered vacuously)
+    /// or `m` exceeds [`MAX_POLICY_PARAM`](crate::MAX_POLICY_PARAM).
     pub fn new(m: usize) -> Self {
-        assert!(m >= 1, "T1m requires m ≥ 1");
+        let valid = PolicySpec::T1 { m }.validate();
+        assert!(valid.is_ok(), "T1m: {valid:?}");
         T1 {
             m,
             state: T1State::OneCopy {
@@ -177,9 +179,10 @@ impl T2 {
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0`.
+    /// Panics if `m` is invalid, like [`T1::new`].
     pub fn new(m: usize) -> Self {
-        assert!(m >= 1, "T2m requires m ≥ 1");
+        let valid = PolicySpec::T2 { m }.validate();
+        assert!(valid.is_ok(), "T2m: {valid:?}");
         T2 {
             m,
             state: T2State::TwoCopies {
@@ -446,6 +449,7 @@ mod tests {
         // change by itself.
         let p = T1::with_state(2, false, 99);
         assert_eq!(p.streak(), 1);
+        assert_eq!(T2::with_state(2, true, 99).streak(), 1);
     }
 
     #[test]

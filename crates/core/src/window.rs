@@ -12,6 +12,7 @@
 //! replica ownership migrates (piggybacked on the data response or the
 //! delete-request), so it supports cheap snapshot/restore.
 
+use crate::policy::{PolicySpec, MAX_POLICY_PARAM};
 use crate::request::Request;
 use std::fmt;
 
@@ -99,11 +100,12 @@ impl RequestWindow {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is zero or even ("for ease of analysis we assume that
-    /// k, the window size, is odd", §4).
+    /// Panics if `k` is zero, even ("for ease of analysis we assume that
+    /// k, the window size, is odd", §4) or above [`MAX_POLICY_PARAM`].
     pub fn filled(k: usize, fill: Request) -> Self {
-        assert!(k >= 1, "window size k must be at least 1");
-        assert!(k % 2 == 1, "window size k must be odd (paper §4), got {k}");
+        let Ok(_) = (PolicySpec::SlidingWindow { k }).validate() else {
+            panic!("k = {k} must be odd, at least 1 and at most {MAX_POLICY_PARAM} (§4)");
+        };
         let words = k.div_ceil(64);
         let mut bits = Bits::zeroed(words);
         if fill.is_write() {
@@ -271,7 +273,8 @@ impl serde::Deserialize for RequestWindow {
         let head: usize = serde::de_field(fields, "head", "RequestWindow")?;
         let writes: usize = serde::de_field(fields, "writes", "RequestWindow")?;
         let words = k.div_ceil(64);
-        if k == 0 || k % 2 == 0 || words_vec.len() != words || head >= k || writes > k {
+        let valid = (PolicySpec::SlidingWindow { k }).validate().is_ok();
+        if !valid || words_vec.len() != words || head >= k || writes > k {
             return Err(serde::Error::custom("malformed request window"));
         }
         let mut bits = Bits::zeroed(words);
@@ -321,6 +324,22 @@ mod tests {
     #[should_panic(expected = "odd")]
     fn even_k_is_rejected() {
         let _ = RequestWindow::filled(4, Request::Read);
+    }
+
+    #[test]
+    fn canonical_equals_a_fresh_window_of_the_same_requests() {
+        // Sizes either side of the inline-storage and word boundaries.
+        for k in [1, 63, 65, 127, 129, 191] {
+            let mut w = RequestWindow::filled(k, Request::Write);
+            for i in 0..k + 5 {
+                w.push(Request::from_bit(i % 3 == 0));
+            }
+            assert_eq!(
+                w.canonical(),
+                RequestWindow::from_requests(&w.to_requests()),
+                "k = {k}"
+            );
+        }
     }
 
     #[test]
@@ -442,7 +461,8 @@ mod tests {
         for _ in 0..65 {
             large.push(Request::Read);
         }
-        for w in [small, large] {
+        // An all-writes window has `writes == k`, the largest valid count.
+        for w in [small, large, RequestWindow::filled(3, Request::Write)] {
             let value = serde::Serialize::to_value(&w);
             let back: RequestWindow =
                 serde::Deserialize::from_value(&value).expect("roundtrip parses");

@@ -10,6 +10,7 @@
 use crate::objects::{ObjectSet, Operation};
 use crate::profile::{Allocation, OperationProfile};
 use mdr_core::approx_eq;
+use mdr_core::hash::Fnv1a;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
@@ -165,7 +166,7 @@ impl MultiRunReport {
     /// that are byte-identical — the determinism contract the sweep engine
     /// sells — produce equal digests; any last-bit drift changes them.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a::default();
         for v in [
             self.operations as u64,
             self.dynamic_cost.to_bits(),
@@ -174,12 +175,9 @@ impl MultiRunReport {
             self.st2_cost.to_bits(),
             self.reallocations,
         ] {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.write_u64(v);
         }
-        h
+        h.finish()
     }
 
     /// Dynamic-over-optimal-static cost ratio (≥ 1 in the stationary case,

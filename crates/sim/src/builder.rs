@@ -46,19 +46,6 @@ fn validate_handoff_deadline(
     Ok(())
 }
 
-/// Checks the §2/§7.1 structural constraints on a policy description:
-/// sliding windows must be odd (so the majority vote is never tied) and
-/// T-policy streak thresholds must be at least 1.
-pub(crate) fn validate_policy(policy: PolicySpec) -> Result<(), ConfigError> {
-    match policy {
-        PolicySpec::SlidingWindow { k } if k == 0 || k % 2 == 0 => {
-            Err(ConfigError::EvenWindow { k })
-        }
-        PolicySpec::T1 { m } | PolicySpec::T2 { m } if m == 0 => Err(ConfigError::ZeroThreshold),
-        _ => Ok(()),
-    }
-}
-
 /// Checks a one-way link latency: finite and non-negative.
 pub(crate) fn validate_latency(latency: f64) -> Result<(), ConfigError> {
     if latency >= 0.0 && latency.is_finite() {
@@ -125,11 +112,11 @@ impl SimBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError::EvenWindow`] for an even (or zero) sliding
-    /// window and [`ConfigError::ZeroThreshold`] for a zero T-policy
-    /// threshold — the structural mistakes the removed `SimConfig::new`
-    /// only caught by panicking deep inside `Simulation::new`.
+    /// window, [`ConfigError::ZeroThreshold`] for a zero T-policy threshold
+    /// and [`ConfigError::PolicyBound`] for an oversized parameter — every
+    /// way a spec fails [`PolicySpec::validate`].
     pub fn new(policy: PolicySpec) -> Result<Self, ConfigError> {
-        validate_policy(policy)?;
+        policy.validate()?;
         Ok(SimBuilder {
             config: SimConfig::defaults(policy),
         })

@@ -544,13 +544,7 @@ mod tests {
         // several shapes; the proptest in `tests/properties.rs` widens
         // this further.
         let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = move || mdr_core::hash::splitmix64_next(&mut state);
         for case in 0..30 {
             let n = 5 + (case * 17) % 200;
             let ops: Vec<(f64, u8)> = (0..n)

@@ -25,6 +25,7 @@
 //! whole wire conversation next to its throughput number.
 
 use crate::faults::ConfigError;
+use mdr_core::hash::{splitmix64_next, Fnv1a};
 use mdr_core::{
     Action, ActionCounts, AllocationPolicy, CostModel, PolicySpec, Request, RequestWindow,
     SlidingWindow, St1, St2, T1, T2,
@@ -180,28 +181,13 @@ enum PolicyKind {
 
 impl PolicyKind {
     fn build(spec: PolicySpec) -> Result<PolicyKind, ConfigError> {
-        match spec {
-            PolicySpec::St1 => Ok(PolicyKind::St1(St1::new())),
-            PolicySpec::St2 => Ok(PolicyKind::St2(St2::new())),
-            PolicySpec::SlidingWindow { k } => {
-                if k == 0 || k % 2 == 0 {
-                    return Err(ConfigError::EvenWindow { k });
-                }
-                Ok(PolicyKind::Sw(SlidingWindow::new(k)))
-            }
-            PolicySpec::T1 { m } => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
-                Ok(PolicyKind::T1(T1::new(m)))
-            }
-            PolicySpec::T2 { m } => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
-                Ok(PolicyKind::T2(T2::new(m)))
-            }
-        }
+        Ok(match spec.validate()? {
+            PolicySpec::St1 => PolicyKind::St1(St1::new()),
+            PolicySpec::St2 => PolicyKind::St2(St2::new()),
+            PolicySpec::SlidingWindow { k } => PolicyKind::Sw(SlidingWindow::new(k)),
+            PolicySpec::T1 { m } => PolicyKind::T1(T1::new(m)),
+            PolicySpec::T2 { m } => PolicyKind::T2(T2::new(m)),
+        })
     }
 
     fn policy(&mut self) -> &mut dyn AllocationPolicy {
@@ -250,15 +236,11 @@ impl PolicyKind {
         let mismatch = || ConfigError::BadDecisionRequest {
             reason: format!("snapshot state does not match policy {spec}"),
         };
-        match (spec, state) {
+        match (spec.validate()?, state) {
             (PolicySpec::St1 | PolicySpec::St2, PolicyState::Stateless) => PolicyKind::build(spec),
-            (PolicySpec::SlidingWindow { k }, PolicyState::Window { window }) => {
-                if k == 0 || k % 2 == 0 {
-                    return Err(ConfigError::EvenWindow { k });
-                }
-                if window.len() != k {
-                    return Err(mismatch());
-                }
+            (PolicySpec::SlidingWindow { k }, PolicyState::Window { window })
+                if window.len() == k =>
+            {
                 let requests: Vec<Request> = window
                     .chars()
                     .map(Request::from_letter)
@@ -268,22 +250,14 @@ impl PolicyKind {
                     RequestWindow::from_requests(&requests),
                 )))
             }
-            (PolicySpec::T1 { m }, &PolicyState::Streak { has_copy, streak }) => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
-                if streak >= m as u64 {
-                    return Err(mismatch());
-                }
+            (PolicySpec::T1 { m }, &PolicyState::Streak { has_copy, streak })
+                if streak < m as u64 =>
+            {
                 Ok(PolicyKind::T1(T1::with_state(m, has_copy, streak as usize)))
             }
-            (PolicySpec::T2 { m }, &PolicyState::Streak { has_copy, streak }) => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
-                if streak >= m as u64 {
-                    return Err(mismatch());
-                }
+            (PolicySpec::T2 { m }, &PolicyState::Streak { has_copy, streak })
+                if streak < m as u64 =>
+            {
                 Ok(PolicyKind::T2(T2::with_state(m, has_copy, streak as usize)))
             }
             _ => Err(mismatch()),
@@ -331,8 +305,8 @@ impl DecisionCore {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::EvenWindow`] / [`ConfigError::ZeroThreshold`] when
-    /// the spec's parameters violate the paper's constraints.
+    /// The [`ConfigError`] of [`PolicySpec::validate`] when the spec's
+    /// parameters violate the paper's constraints or the parameter bound.
     pub fn new(spec: PolicySpec, model: CostModel) -> Result<DecisionCore, ConfigError> {
         Ok(DecisionCore {
             spec,
@@ -491,29 +465,14 @@ impl DecisionCore {
     /// Rejects invalid target parameters, like [`DecisionCore::new`].
     pub fn adopt(&mut self, spec: PolicySpec) -> Result<(), ConfigError> {
         let has_copy = self.has_copy();
-        let policy = match spec {
-            PolicySpec::SlidingWindow { k } => {
-                if k == 0 || k % 2 == 0 {
-                    return Err(ConfigError::EvenWindow { k });
-                }
-                PolicyKind::Sw(if has_copy {
-                    SlidingWindow::with_initial_copy(k)
-                } else {
-                    SlidingWindow::new(k)
-                })
-            }
-            PolicySpec::T1 { m } => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
-                PolicyKind::T1(T1::with_state(m, has_copy, 0))
-            }
-            PolicySpec::T2 { m } => {
-                if m == 0 {
-                    return Err(ConfigError::ZeroThreshold);
-                }
-                PolicyKind::T2(T2::with_state(m, has_copy, 0))
-            }
+        let policy = match spec.validate()? {
+            PolicySpec::SlidingWindow { k } => PolicyKind::Sw(if has_copy {
+                SlidingWindow::with_initial_copy(k)
+            } else {
+                SlidingWindow::new(k)
+            }),
+            PolicySpec::T1 { m } => PolicyKind::T1(T1::with_state(m, has_copy, 0)),
+            PolicySpec::T2 { m } => PolicyKind::T2(T2::with_state(m, has_copy, 0)),
             PolicySpec::St1 | PolicySpec::St2 => PolicyKind::build(spec)?,
         };
         self.spec = spec;
@@ -1505,16 +1464,7 @@ pub struct ServeBenchReport {
 /// measures only the serve path (JSON parse → decide → JSON print), not
 /// workload synthesis.
 pub fn serve_bench_lines(tenants: usize, per_tenant: usize, seed: u64) -> Vec<String> {
-    // SplitMix64 — the standard 64-bit mixing constants; self-contained
-    // so the bench needs no RNG plumbing and stays bit-stable forever.
     let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
     let mut lines = Vec::with_capacity(tenants * (per_tenant + 1) + 1);
     for t in 0..tenants {
         // Mixed roster: half the tenants on the competitive default, the
@@ -1531,11 +1481,8 @@ pub fn serve_bench_lines(tenants: usize, per_tenant: usize, seed: u64) -> Vec<St
         for t in 0..tenants {
             // Per-tenant write fraction, fanned across (0, 1).
             let theta = (t + 1) as f64 / (tenants + 1) as f64;
-            let letter = if (next() >> 11) as f64 / (1u64 << 53) as f64 <= theta {
-                'w'
-            } else {
-                'r'
-            };
+            let u = (splitmix64_next(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+            let letter = if u <= theta { 'w' } else { 'r' };
             lines.push(format!(
                 r#"{{"op":"decide","tenant":"t{t}","request":"{letter}"}}"#
             ));
@@ -1554,21 +1501,14 @@ pub fn run_serve_bench(
     config: ServeConfig,
 ) -> Result<ServeBenchReport, ConfigError> {
     let mut engine = ServeEngine::new(config)?;
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fnv = |bytes: &[u8]| {
-        for &b in bytes {
-            digest ^= u64::from(b);
-            digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut digest = Fnv1a::default();
     for line in lines {
-        let response = engine.handle_line(line);
-        fnv(response.as_bytes());
-        fnv(b"\n");
+        digest.write(engine.handle_line(line).as_bytes());
+        digest.write(b"\n");
     }
     Ok(ServeBenchReport {
         decisions: engine.decisions(),
-        digest,
+        digest: digest.finish(),
     })
 }
 
@@ -1735,6 +1675,15 @@ mod tests {
             ConfigError::EvenWindow { k: 6 }
         );
         assert_eq!(core.spec(), PolicySpec::St1, "failed adoption is a no-op");
+        // The parameter bound holds at birth, on adoption and on restore.
+        let (k, bound) = (999_999_999_999, 65_535);
+        let huge = PolicySpec::SlidingWindow { k };
+        let err = Some(ConfigError::PolicyBound { value: k, bound });
+        assert_eq!(DecisionCore::new(huge, CostModel::Connection).err(), err);
+        assert_eq!(core.adopt(huge).err(), err);
+        let mut snap = core.snapshot();
+        snap.spec = huge;
+        assert_eq!(DecisionCore::restore(&snap).err(), err);
     }
 
     #[test]
@@ -1905,6 +1854,25 @@ mod tests {
             out.starts_with(r#"{"ok":"decision","tenant":"a","seq":1,"#),
             "{out}"
         );
+    }
+
+    #[test]
+    fn oversized_policy_is_one_bad_request_then_serving_continues() {
+        let mut e = engine();
+        open(&mut e, "a", "SW1");
+        for (policy, seq) in ["SW999999999999", "T1(18446744073709551615)"]
+            .into_iter()
+            .zip(1..)
+        {
+            let out = e.handle_line(&format!(
+                r#"{{"op":"open","tenant":"b","policy":"{policy}"}}"#
+            ));
+            let want = r#"{"err":"bad-request","detail":"invalid configuration: malformed decision request: policy parameter must be at most 65535, got "#;
+            assert!(out.starts_with(want), "{out}");
+            let out = e.handle_line(r#"{"op":"decide","tenant":"a","request":"r"}"#);
+            let want = format!(r#"{{"ok":"decision","tenant":"a","seq":{seq},"#);
+            assert!(out.starts_with(&want), "{out}");
+        }
     }
 
     #[test]

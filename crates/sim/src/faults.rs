@@ -14,8 +14,29 @@
 //! pair reproduces the same disconnection windows, crash kinds, ghost
 //! deliveries and therefore a byte-identical cost ledger.
 
+use mdr_core::{InvalidPolicy, MAX_POLICY_PARAM};
 use std::error::Error;
 use std::fmt;
+
+/// Implements `PartialEq` and `Eq` for a configuration type. The listed
+/// `f64` fields compare bit for bit, which is equality under IEEE-754 total
+/// order: NaN and signed zero are explicit rather than inherited from a
+/// derived float `==` (which the workspace lint bans in accounting paths).
+/// The other listed fields compare exactly, so two configs are equal
+/// exactly when they describe the same run bit for bit.
+macro_rules! bitwise_eq {
+    ($ty:ty; floats: $($float:ident),+; exact: $($field:ident),+) => {
+        impl PartialEq for $ty {
+            fn eq(&self, other: &Self) -> bool {
+                $(self.$float.to_bits() == other.$float.to_bits())&&+
+                    $(&& self.$field == other.$field)+
+            }
+        }
+
+        impl Eq for $ty {}
+    };
+}
+pub(crate) use bitwise_eq;
 
 /// An invalid simulation, sweep-grid or fault-plan parameter, reported as a
 /// typed value instead of a panic so configuration errors are recoverable
@@ -64,6 +85,13 @@ pub enum ConfigError {
     },
     /// A T1/T2 streak threshold of zero.
     ZeroThreshold,
+    /// A window size or threshold above [`mdr_core::MAX_POLICY_PARAM`].
+    PolicyBound {
+        /// The rejected parameter.
+        value: usize,
+        /// The largest accepted parameter.
+        bound: usize,
+    },
     /// A named probability outside `[0, 1]`.
     Probability {
         /// Which probability was rejected (e.g. `"crash probability"`).
@@ -237,6 +265,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "window size must be odd and positive, got {k}")
             }
             ConfigError::ZeroThreshold => write!(f, "threshold m must be at least 1"),
+            ConfigError::PolicyBound { value, bound } => {
+                write!(f, "policy parameter must be at most {bound}, got {value}")
+            }
             ConfigError::Probability { what, value } => {
                 write!(f, "{what} must lie in [0, 1], got {value}")
             }
@@ -344,6 +375,19 @@ impl fmt::Display for ConfigError {
 }
 
 impl Error for ConfigError {}
+
+impl From<InvalidPolicy> for ConfigError {
+    fn from(invalid: InvalidPolicy) -> Self {
+        match invalid {
+            InvalidPolicy::EvenWindow { k } => ConfigError::EvenWindow { k },
+            InvalidPolicy::ZeroThreshold => ConfigError::ZeroThreshold,
+            InvalidPolicy::TooLarge { value } => ConfigError::PolicyBound {
+                value,
+                bound: MAX_POLICY_PARAM,
+            },
+        }
+    }
+}
 
 /// The kind of one connectivity fault drawn from a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -613,55 +657,11 @@ impl ArqConfig {
     }
 }
 
-/// Total-order float comparison, like [`FaultPlan`]'s `PartialEq`.
-impl PartialEq for ArqConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.loss_probability
-            .total_cmp(&other.loss_probability)
-            .is_eq()
-            && self.base_timeout.total_cmp(&other.base_timeout).is_eq()
-            && self.backoff_factor.total_cmp(&other.backoff_factor).is_eq()
-            && self.jitter.total_cmp(&other.jitter).is_eq()
-            && self.retry_budget == other.retry_budget
-            && self
-                .degrade_deadline
-                .total_cmp(&other.degrade_deadline)
-                .is_eq()
-            && self.seed == other.seed
-    }
-}
+bitwise_eq!(ArqConfig; floats: loss_probability, base_timeout, backoff_factor, jitter,
+    degrade_deadline; exact: retry_budget, seed);
 
-impl Eq for ArqConfig {}
-
-/// See `SimConfig`'s `PartialEq`: IEEE-754 total-order comparison on the
-/// float fields, exact equality on the seed, so the semantics of NaN and
-/// signed zero are explicit rather than inherited from a derived float
-/// `==` (which the workspace lint bans in accounting paths).
-impl PartialEq for FaultPlan {
-    fn eq(&self, other: &Self) -> bool {
-        self.disconnect_rate
-            .total_cmp(&other.disconnect_rate)
-            .is_eq()
-            && self.mean_outage.total_cmp(&other.mean_outage).is_eq()
-            && self
-                .crash_probability
-                .total_cmp(&other.crash_probability)
-                .is_eq()
-            && self
-                .volatile_probability
-                .total_cmp(&other.volatile_probability)
-                .is_eq()
-            && self
-                .sc_outage_probability
-                .total_cmp(&other.sc_outage_probability)
-                .is_eq()
-            && self.duplication.total_cmp(&other.duplication).is_eq()
-            && self.reorder.total_cmp(&other.reorder).is_eq()
-            && self.seed == other.seed
-    }
-}
-
-impl Eq for FaultPlan {}
+bitwise_eq!(FaultPlan; floats: disconnect_rate, mean_outage, crash_probability,
+    volatile_probability, sc_outage_probability, duplication, reorder; exact: seed);
 
 #[cfg(test)]
 mod tests {

@@ -46,6 +46,7 @@ use crate::engine::{
     ServeRequest, ServeResponse, RESPONSE_CAPACITY,
 };
 use crate::faults::ConfigError;
+use mdr_core::hash::fnv1a64;
 use mdr_core::{CostModel, PolicySpec, Request};
 use serde::Value;
 use std::collections::BTreeMap;
@@ -66,19 +67,6 @@ const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 const TENANTS_DIR: &str = "tenants";
 /// Subdirectory of the data dir where corrupt tenants are set aside.
 const QUARANTINE_DIR: &str = "quarantine";
-
-/// 64-bit FNV-1a over `bytes` — the per-record and checkpoint checksum.
-/// Every step `d ← (d ⊕ b) · prime` is a bijection of the running
-/// digest, so changing any single byte (a fortiori any single bit)
-/// changes the result.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        digest ^= u64::from(b);
-        digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    digest
-}
 
 /// The parseable wire notation for a cost model (`connection` /
 /// `message:<ω>`). [`CostModel`]'s `Display` is the paper's pretty
@@ -1306,11 +1294,26 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_the_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn failed_final_checkpoint_falls_back_to_an_fsynced_journal() {
+        let dir = temp_dir("ckpt-fallback");
+        let (mut serve, _) = open_at(&dir);
+        serve.handle_line(r#"{"op":"open","tenant":"t","policy":"SW3"}"#);
+        serve.handle_line(r#"{"op":"decide","tenant":"t","request":"r"}"#);
+        // A directory squatting on the staging name fails the checkpoint.
+        let squat = dir.join(TENANTS_DIR).join("t").join(CHECKPOINT_TMP);
+        fs::create_dir(&squat).expect("squat");
+        let before = serve.stats().clone();
+        serve.finalize();
+        assert_eq!(
+            serve.stats().checkpoint_failures,
+            before.checkpoint_failures + 1
+        );
+        assert_eq!(serve.stats().fsyncs, before.fsyncs + 1);
+        drop(serve);
+        fs::remove_dir(&squat).expect("unsquat");
+        let (serve, _) = open_at(&dir);
+        let decided = serve.engine().tenant_core("t").map(DecisionCore::decided);
+        assert_eq!(decided, Some(1), "the journal alone recovers the decision");
     }
 
     #[test]

@@ -13,11 +13,11 @@
 
 use crate::calendar::{key_lt, CalendarQueue};
 use crate::engine::DecisionCore;
-use crate::faults::{ArqConfig, FaultKind, FaultPlan};
+use crate::faults::{bitwise_eq, ArqConfig, FaultKind, FaultPlan};
 use crate::perf::{BatchedF64, PerfStats, Stopwatch};
 use crate::protocol::{Envelope, ProtocolState, StepOutcome};
 use crate::topology::{HandoffLeg, HandoffSnapshot, TopologyConfig};
-use crate::workload::{Arrival, ArrivalProcess};
+use crate::workload::{exp_sample, Arrival, ArrivalProcess};
 use mdr_core::{Action, ActionCounts, CostModel, PolicySpec, Request, Schedule};
 use std::collections::VecDeque;
 
@@ -92,29 +92,11 @@ pub struct LossConfig {
     pub seed: u64,
 }
 
-/// Configuration equality is deliberate about its floating-point fields:
-/// they are compared by IEEE-754 total order (`f64::total_cmp`), so the
-/// semantics of NaN and signed zero are explicit rather than inherited from
-/// a derived float `==` (which the workspace lint bans in accounting paths).
-/// Two configs compare equal exactly when they bit-for-bit describe the same
-/// run.
-impl PartialEq for SimConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.policy == other.policy
-            && self.latency.total_cmp(&other.latency).is_eq()
-            && self.oracle_check == other.oracle_check
-            && self.loss == other.loss
-            && self.arq == other.arq
-            && self.mobility == other.mobility
-            && self.faults == other.faults
-            && self.topology == other.topology
-    }
-}
+bitwise_eq!(SimConfig; floats: latency; exact: policy, oracle_check, loss, arq, mobility, faults,
+    topology);
 
-impl Eq for SimConfig {}
-
-/// See [`SimConfig`]'s `PartialEq`: total-order comparison on the latency
-/// vector, exact equality elsewhere.
+/// Bit-for-bit comparison of the float fields, like `bitwise_eq!` (which
+/// covers only scalar fields).
 impl PartialEq for MobilityConfig {
     fn eq(&self, other: &Self) -> bool {
         self.cell_extra_latency.len() == other.cell_extra_latency.len()
@@ -130,19 +112,7 @@ impl PartialEq for MobilityConfig {
 
 impl Eq for MobilityConfig {}
 
-/// See [`SimConfig`]'s `PartialEq`: total-order comparison on the float
-/// fields, exact equality on the seed.
-impl PartialEq for LossConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.loss_probability
-            .total_cmp(&other.loss_probability)
-            .is_eq()
-            && self.retry_timeout.total_cmp(&other.retry_timeout).is_eq()
-            && self.seed == other.seed
-    }
-}
-
-impl Eq for LossConfig {}
+bitwise_eq!(LossConfig; floats: loss_probability, retry_timeout; exact: seed);
 
 impl SimConfig {
     /// Crate-internal default construction shared with the
@@ -868,6 +838,16 @@ struct HandoffFlight {
     snapshot: HandoffSnapshot,
 }
 
+/// A uniformly chosen cell other than `current` out of `cells`, from one
+/// draw; with a single cell there is nowhere to go and nothing is drawn.
+fn other_cell(rng: &mut BatchedF64, cells: usize, current: usize) -> usize {
+    if cells <= 1 {
+        return current;
+    }
+    let next = (rng.draw() * (cells - 1) as f64) as usize;
+    (next + usize::from(next >= current)).min(cells - 1)
+}
+
 impl Simulation {
     /// Creates a simulation in the policy's initial state.
     pub fn new(config: SimConfig) -> Self {
@@ -1460,9 +1440,7 @@ impl Simulation {
         else {
             unreachable!("handoff scheduling requires the mobility model")
         };
-        let rate = mobility.handoff_rate;
-        let u = rng.draw();
-        let dwell = -f64::ln(1.0 - u) / rate;
+        let dwell = exp_sample(rng, mobility.handoff_rate);
         self.push_event(self.now + dwell, Event::Handoff);
     }
 
@@ -1473,20 +1451,9 @@ impl Simulation {
         else {
             unreachable!("handoffs require the mobility model")
         };
-        let cells = mobility.cell_extra_latency.len();
-        if cells > 1 {
-            let mut next = (rng.draw() * (cells - 1) as f64) as usize;
-            if next >= self.current_cell {
-                next += 1;
-            }
-            self.current_cell = next.min(cells - 1);
-        }
+        self.current_cell = other_cell(rng, mobility.cell_extra_latency.len(), self.current_cell);
         self.handoffs += 1;
-        self.cell_extra = self
-            .config
-            .mobility
-            .as_ref()
-            .map_or(0.0, |m| m.cell_extra_latency[self.current_cell]);
+        self.cell_extra = mobility.cell_extra_latency[self.current_cell];
     }
 
     /// Whether the multi-cell topology layer is live: configured and not
@@ -1502,8 +1469,7 @@ impl Simulation {
         else {
             unreachable!("migration scheduling requires a topology")
         };
-        let u = rng.draw();
-        let dwell = -f64::ln(1.0 - u) / topology.migration_rate;
+        let dwell = exp_sample(rng, topology.migration_rate);
         self.push_event(self.now + dwell, Event::Migrate);
     }
 
@@ -1518,14 +1484,7 @@ impl Simulation {
         else {
             unreachable!("migrations require a topology")
         };
-        let cells = topology.cells;
-        if cells > 1 {
-            let mut next = (rng.draw() * (cells - 1) as f64) as usize;
-            if next >= self.mc_cell {
-                next += 1;
-            }
-            self.mc_cell = next.min(cells - 1);
-        }
+        self.mc_cell = other_cell(rng, topology.cells, self.mc_cell);
         self.migrations += 1;
         if self.handoff.is_some() {
             self.abort_handoff();
@@ -2002,8 +1961,7 @@ impl Simulation {
         if plan.disconnect_rate <= 0.0 {
             return;
         }
-        let u = rng.draw();
-        let gap = -f64::ln(1.0 - u) / plan.disconnect_rate;
+        let gap = exp_sample(rng, plan.disconnect_rate);
         self.push_event(self.now + gap, Event::LinkDown);
     }
 
@@ -3389,6 +3347,28 @@ mod topology_tests {
             noisy.makespan.to_bits(),
             "ghosts draw from their own stream and perturb nothing"
         );
+    }
+
+    #[test]
+    fn commit_ghosts_trail_the_original_even_at_zero_latency() {
+        // With no link latency the ghost offsets alone keep every copy
+        // after the original commit; one scheduled before it would be an
+        // event in the past.
+        let run = |t: TopologyConfig| {
+            let mut sim = SimBuilder::new(PolicySpec::SlidingWindow { k: 5 })
+                .and_then(|b| b.latency(0.0))
+                .and_then(|b| b.topology(t))
+                .unwrap()
+                .simulation();
+            let mut w = crate::workload::PoissonWorkload::from_theta(1.0, 0.4, 4242);
+            sim.run(&mut w, RunLimit::Requests(1_000))
+        };
+        let base = TopologyConfig::new(3, 0.5, 2.0, 7).unwrap();
+        let clean = run(base);
+        let noisy = run(base.with_commit_ghosts(1.0, 1.0).unwrap());
+        assert!(noisy.handoff_discards > 0);
+        assert_eq!(clean.counts, noisy.counts);
+        assert_eq!(clean.makespan.to_bits(), noisy.makespan.to_bits());
     }
 
     #[test]

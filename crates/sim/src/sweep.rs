@@ -33,24 +33,15 @@
 //! [`SweepSummary`] merge law, and the migration table from the
 //! deprecated per-experiment loops.
 
-use crate::builder::{validate_latency, validate_policy};
+use crate::builder::validate_latency;
 use crate::faults::{ArqConfig, ConfigError, FaultPlan};
 use crate::sim::{RunLimit, SimConfig, SimReport, Simulation};
 use crate::topology::TopologyConfig;
 use crate::workload::PoissonWorkload;
+use mdr_core::hash::{splitmix64, Fnv1a};
 use mdr_core::{CostModel, PolicySpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-
-/// The SplitMix64 output mixer (Steele, Lea & Flood, OOPSLA 2014): a
-/// bijective avalanche over `u64` used to turn structured (seed, stream,
-/// index) triples into statistically independent RNG seeds.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Seed streams keep the workload, fault and transport RNGs of one run
 /// independent even though all derive from the same grid seed and
@@ -196,14 +187,15 @@ impl SweepGrid {
     /// # Errors
     ///
     /// [`ConfigError::EmptyAxis`] on an empty list;
-    /// [`ConfigError::EvenWindow`] / [`ConfigError::ZeroThreshold`] for a
-    /// structurally invalid policy.
+    /// [`ConfigError::EvenWindow`] / [`ConfigError::ZeroThreshold`] /
+    /// [`ConfigError::PolicyBound`] for a policy that fails
+    /// [`PolicySpec::validate`].
     pub fn policies(mut self, policies: Vec<PolicySpec>) -> Result<Self, ConfigError> {
         if policies.is_empty() {
             return Err(ConfigError::EmptyAxis { what: "policies" });
         }
         for &policy in &policies {
-            validate_policy(policy)?;
+            policy.validate()?;
         }
         self.policies = policies;
         Ok(self)
@@ -955,13 +947,8 @@ impl SweepReport {
     /// whatever their thread counts; CI diffs it between `--threads 1`
     /// and `--threads 4`.
     pub fn ledger_digest(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut hash = Fnv1a::default();
+        let mut eat = |word: u64| hash.write_u64(word);
         for cell in &self.cells {
             let r = &cell.report;
             eat(cell.workload_seed);
@@ -1012,7 +999,7 @@ impl SweepReport {
             eat(r.stale_reads);
             eat(r.handoff_discards);
         }
-        hash
+        hash.finish()
     }
 
     /// One deterministic text line per cell — the human-diffable form of

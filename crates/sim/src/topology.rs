@@ -41,7 +41,7 @@
 //! *inert*: it schedules no events, draws nothing from any RNG stream and
 //! reproduces the single-cell ledger digest bit for bit.
 
-use crate::faults::ConfigError;
+use crate::faults::{bitwise_eq, ConfigError};
 
 /// The three legs of the handoff protocol, in wire order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -255,32 +255,8 @@ impl TopologyConfig {
     }
 }
 
-/// IEEE-754 total-order comparison on the float fields, exact equality on
-/// everything else — same rationale as `SimConfig`'s `PartialEq`.
-impl PartialEq for TopologyConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.cells == other.cells
-            && self.home_cell == other.home_cell
-            && self.migration_rate.total_cmp(&other.migration_rate).is_eq()
-            && self
-                .handoff_deadline
-                .total_cmp(&other.handoff_deadline)
-                .is_eq()
-            && self.broadcast_invalidation == other.broadcast_invalidation
-            && self
-                .loss_probability
-                .total_cmp(&other.loss_probability)
-                .is_eq()
-            && self
-                .commit_duplication
-                .total_cmp(&other.commit_duplication)
-                .is_eq()
-            && self.commit_reorder.total_cmp(&other.commit_reorder).is_eq()
-            && self.seed == other.seed
-    }
-}
-
-impl Eq for TopologyConfig {}
+bitwise_eq!(TopologyConfig; floats: migration_rate, handoff_deadline, loss_probability,
+    commit_duplication, commit_reorder; exact: cells, home_cell, broadcast_invalidation, seed);
 
 #[cfg(test)]
 mod tests {

@@ -29,8 +29,10 @@ pub trait ArrivalProcess {
     fn next_arrival(&mut self) -> Option<Arrival>;
 }
 
-/// Draws an Exp(rate) inter-arrival time by inverse CDF.
-fn exp_sample(rng: &mut BatchedF64, rate: f64) -> f64 {
+/// Draws an Exp(rate) waiting time by inverse CDF, from one uniform
+/// draw: the arrival processes' inter-arrival times, and the simulator's
+/// cell dwell times and time to the next disconnection.
+pub(crate) fn exp_sample(rng: &mut BatchedF64, rate: f64) -> f64 {
     debug_assert!(rate > 0.0);
     // 1 − u ∈ (0, 1]; ln of it is finite and ≤ 0.
     let u: f64 = rng.draw();

@@ -18,21 +18,12 @@
 //!    the journal and the checkpoint file must yield prefix recovery or
 //!    a single-tenant quarantine, with other tenants untouched.
 
+use mdr_core::hash::{fnv1a64, splitmix64_next};
 use mdr_sim::engine::{ServeConfig, ServeEngine};
-use mdr_sim::journal::{fnv1a64, scan_journal, JournalOp, TailOutcome};
+use mdr_sim::journal::{scan_journal, JournalOp, TailOutcome};
 use mdr_sim::{DurableServe, FsyncPolicy, JournalConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// SplitMix64 — the repo's blessed seed-mixing step; drives every
-/// "random" choice in this harness deterministically.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -67,8 +58,8 @@ fn session_lines(seed: u64) -> Vec<String> {
     ];
     let mut state = seed;
     for i in 0..60 {
-        let tenant = ["sw", "t1", "st"][(splitmix64(&mut state) % 3) as usize];
-        let letter = if splitmix64(&mut state) % 10 < 3 {
+        let tenant = ["sw", "t1", "st"][(splitmix64_next(&mut state) % 3) as usize];
+        let letter = if splitmix64_next(&mut state) % 10 < 3 {
             "w"
         } else {
             "r"
@@ -255,8 +246,8 @@ fn single_bit_flips_never_yield_silently_wrong_state() {
     }
     let mut state = 0xB17F_11B5u64;
     for _ in 0..256 {
-        let byte = (splitmix64(&mut state) as usize) % journal_bytes.len();
-        let bit = (splitmix64(&mut state) % 8) as u8;
+        let byte = (splitmix64_next(&mut state) as usize) % journal_bytes.len();
+        let bit = (splitmix64_next(&mut state) % 8) as u8;
         positions.push((byte, bit));
     }
 
@@ -334,8 +325,8 @@ fn checkpoint_bit_flips_quarantine_only_the_owner() {
 
     let mut state = 0xC4A5_8F00u64;
     for _ in 0..64 {
-        let byte = (splitmix64(&mut state) as usize) % pristine.len();
-        let bit = (splitmix64(&mut state) % 8) as u8;
+        let byte = (splitmix64_next(&mut state) as usize) % pristine.len();
+        let bit = (splitmix64_next(&mut state) % 8) as u8;
         let mut flipped = pristine.clone();
         flipped[byte] ^= 1 << bit;
         if flipped == pristine {
@@ -423,8 +414,10 @@ fn scan_is_total_over_adversarial_bytes() {
     // recovery over it) must never panic and never over-allocate.
     let mut state = 0x5EED_F00Du64;
     for round in 0..64 {
-        let len = (splitmix64(&mut state) % 200) as usize;
-        let mut bytes: Vec<u8> = (0..len).map(|_| splitmix64(&mut state) as u8).collect();
+        let len = (splitmix64_next(&mut state) % 200) as usize;
+        let mut bytes: Vec<u8> = (0..len)
+            .map(|_| splitmix64_next(&mut state) as u8)
+            .collect();
         if round % 3 == 0 {
             let mut valid = mdr_sim::journal::encode_record(
                 1,

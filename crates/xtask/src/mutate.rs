@@ -31,6 +31,7 @@
 //! threshold.
 
 use crate::lexer::{in_ranges, lex, test_ranges, Token, TokenKind};
+use mdr_core::hash::{fnv1a64, splitmix64};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -53,24 +54,6 @@ pub(crate) struct Mutant {
     pub replacement: String,
     /// Operator name.
     pub op: &'static str,
-}
-
-/// 64-bit FNV-1a.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 — same mixer the sweep engine uses for seed derivation.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Keywords that disqualify an identifier from being a binary operand.
