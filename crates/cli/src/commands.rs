@@ -1,14 +1,17 @@
-//! The `mdr` subcommands. Each returns its report as a `String` so the
-//! logic is unit-testable without capturing stdout.
+//! The `mdr` subcommands. [`COMMANDS`] is the only list of them and of
+//! their flags: `mdr help` prints it, and each subcommand accepts exactly
+//! the flags its usage text names. Each returns its report as a `String`
+//! so the logic is unit-testable without capturing stdout.
 
-use crate::parse::{parse_fsync, parse_model, parse_policy, Args, CliError};
+use crate::parse::{err, Args, CliError, Unit};
 use mdr_adversary::{cycle_ratio, exhaustive_search, generators, measure};
-use mdr_analysis::dominance::{connection_winner, message_winner, Winner};
+use mdr_analysis::dominance::{connection_winner, message_winner};
 use mdr_analysis::window_choice::{min_beneficial_k, recommend_k};
 use mdr_analysis::{average_expected_cost, competitive_factor, expected_cost};
 use mdr_bench::sweep::{e17_fault_plan, e18_arq, preset, summary_table};
 use mdr_bench::{BenchSnapshot, RunCfg};
-use mdr_core::{trace_policy, CostModel, PolicySpec, Schedule};
+use mdr_core::{trace_policy, CostModel, PolicySpec, Schedule, MAX_POLICY_PARAM};
+use mdr_multi::MAX_OBJECTS;
 use mdr_sim::engine::{
     run_serve_bench, serve_bench_lines, write_response, ServeConfig, ServeEngine, ServeResponse,
 };
@@ -20,23 +23,116 @@ use mdr_sim::{
 };
 use std::fmt::Write as _;
 
-fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
-    Err(CliError(msg.into()))
+type Handler = fn(&Args) -> Result<String, CliError>;
+
+/// Every subcommand: its name, its usage text and its handler. `mdr help`
+/// prints the usage texts, and a subcommand accepts exactly the `--name`
+/// tokens of its own.
+const COMMANDS: &[(&str, &str, Handler)] = &[
+    (
+        "analyze",
+        "--policy <P> [--model M] [--theta T]      closed-form costs & competitiveness",
+        analyze,
+    ),
+    (
+        "recommend",
+        "[--theta T] [--omega W] [--slack S]       which policy to run (Figure 1 / §9)",
+        recommend,
+    ),
+    (
+        "simulate",
+        "--policy <P> [--theta T] [--requests N] [--seed S] [--omega W] [--latency L]
+             [--faults RATE] [--outage T] [--crash-prob P] [--volatile-prob P]
+             (RATE > 0 injects MC disconnections/crashes + reconnection recovery)
+             [--arq-loss P] [--arq-timeout T] [--arq-budget N] [--arq-backoff F]
+             [--arq-jitter J] [--arq-deadline D]
+             (--arq-loss enables the timed ARQ transport: timeout/backoff
+              retransmission, retry budgets, graceful degradation)
+             [--cells N] [--mobility RATE] [--handoff-deadline D] [--handoff-loss P]
+             [--broadcast-inv on]
+             (--cells > 1 enables the multi-cell topology: seed-driven migration,
+              epoch-fenced three-way handoff, stale-replica invalidation)",
+        simulate,
+    ),
+    (
+        "sweep",
+        "[--preset e6|e17|e18|e19] [--policies P1,P2] [--thetas ...] [--models ...]
+             [--omegas ...] [--fault-rates ...] [--arq-losses ...] [--replications R]
+             [--requests N] [--seed S] [--latency L] [--oracle on] [--threads T]
+             [--chunk C] [--format table|ledger|json] [--full on]
+             (deterministic parallel grid; stdout is byte-identical at any --threads)",
+        sweep,
+    ),
+    (
+        "bench",
+        "--preset e6|e17|e18|e19|serve [--baseline BENCH_e17.json] [--gate-pct 10]
+             [--write-baseline on] [--full on] [--requests N] [--replications R]
+             [--threads T] [--chunk C] [--format table|json]
+             (typed perf measurement: events, wall time, events/sec, ledger digest;
+              gates against a committed BENCH_*.json — digest drift always fails.
+              --preset serve times the decision daemon: decisions/sec through the
+              full JSON wire path, with [--tenants N] [--requests R] [--seed S])",
+        bench,
+    ),
+    (
+        "serve",
+        "[--max-tenants N] [--policy P] [--model M] [--budget N] [--adaptive on]
+             [--data-dir DIR] [--fsync always|interval[:N]|never] [--checkpoint-every N]
+             (long-running decision daemon: newline-JSON on stdin/stdout, one
+              DecisionCore per tenant; open/decide/stats/snapshot/restore/close;
+              --data-dir makes it crash-safe: write-ahead journal + checkpoints,
+              recovery with quarantine on restart; see docs/serve.md)",
+        serve,
+    ),
+    (
+        "worst-case",
+        "--policy <P> [--model M] [--max-len L] [--cycles C]",
+        worst_case,
+    ),
+    (
+        "trace",
+        "--policy <P> --schedule rrwwr [--model M] per-request execution trace",
+        trace,
+    ),
+    (
+        "multi",
+        "--profile profile.json                    §7.2 optimal multi-object allocation",
+        multi,
+    ),
+];
+
+/// Runs `argv` — a subcommand and its flags — through [`COMMANDS`].
+pub(crate) fn dispatch(argv: &[String]) -> Result<String, CliError> {
+    let name = argv.first().map_or("", String::as_str);
+    match COMMANDS.iter().find(|(command, ..)| *command == name) {
+        Some((_, usage, run)) => run(&Args::parse(argv, usage)?),
+        None => err(format!("unknown subcommand {name:?}; see `mdr help`")),
+    }
 }
 
-/// `mdr analyze --policy SW9 --model message:0.4 [--theta 0.3]`
-pub(crate) fn analyze(args: &Args) -> Result<String, CliError> {
-    let spec = parse_policy(args.required("policy")?)?;
-    let model = parse_model(args.get_or("model", "connection"))?;
+/// The help text: every usage text of [`COMMANDS`].
+pub(crate) fn help() -> String {
+    let mut out =
+        String::from("mdr — data replication for mobile computers (SIGMOD 1994)\n\nsubcommands:\n");
+    for (name, usage, _) in COMMANDS {
+        let _ = writeln!(out, "  {name:<10} {usage}");
+    }
+    out.push_str(
+        "
+policies: ST1, ST2, SW<k> (odd k), T1:<m>, T2:<m>
+models:   connection | message:<omega>   (ω ∈ [0,1])
+",
+    );
+    out
+}
+
+/// Closed-form expected costs and the competitive factor of one policy.
+fn analyze(args: &Args) -> Result<String, CliError> {
+    let spec: PolicySpec = args.req("policy")?;
+    let model = args.or("model", CostModel::Connection)?;
     let mut out = String::new();
     let _ = writeln!(out, "policy: {spec}   model: {model}");
-    if let Some(theta) = args.flags.get("theta") {
-        let theta: f64 = theta
-            .parse()
-            .map_err(|_| CliError(format!("invalid θ {theta:?}")))?;
-        if !(0.0..=1.0).contains(&theta) {
-            return err("θ must lie in [0, 1]");
-        }
+    if let Some(Unit(theta)) = args.opt("theta")? {
         let _ = writeln!(
             out,
             "expected cost per request at θ = {theta}: {:.6}",
@@ -62,23 +158,23 @@ pub(crate) fn analyze(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `mdr recommend --omega 0.4 [--theta 0.3] [--slack 0.10]`
-pub(crate) fn recommend(args: &Args) -> Result<String, CliError> {
-    let omega: f64 = args.number("omega", -1.0)?;
+/// Which policy to run: the Figure 1 dominance map for a fixed θ, the §9
+/// window choice for a drifting one.
+fn recommend(args: &Args) -> Result<String, CliError> {
+    let omega = args.opt::<Unit>("omega")?.map(|Unit(omega)| omega);
+    let theta = args.opt::<Unit>("theta")?;
+    args.only_if(theta.is_none(), "a drifting θ (no --theta)", &["slack"])?;
     let mut out = String::new();
-    match args.flags.get("theta") {
-        Some(theta) => {
-            let theta: f64 = theta
-                .parse()
-                .map_err(|_| CliError(format!("invalid θ {theta:?}")))?;
+    match theta {
+        Some(Unit(theta)) => {
             // Fixed, known θ: the dominance maps.
-            if omega >= 0.0 {
+            if let Some(omega) = omega {
                 let w = message_winner(theta, omega);
                 let _ = writeln!(
                     out,
                     "message model (ω = {omega}), θ = {theta} fixed: run {} \
                      (Figure 1 region; EXP = {:.4})",
-                    name(w),
+                    w.spec(),
                     expected_cost(w.spec(), CostModel::message(omega), theta)
                 );
             }
@@ -86,13 +182,21 @@ pub(crate) fn recommend(args: &Args) -> Result<String, CliError> {
             let _ = writeln!(
                 out,
                 "connection model, θ = {theta} fixed: run {} (EXP = {:.4})",
-                name(w),
+                w.spec(),
                 expected_cost(w.spec(), CostModel::Connection, theta)
             );
         }
         None => {
-            // Drifting θ: the §9 guidance.
-            let slack: f64 = args.number("slack", 0.10)?;
+            // Drifting θ: the §9 guidance. SWk needs k ≥ 1/slack − 2, and
+            // no window exceeds MAX_POLICY_PARAM.
+            let slack: f64 = args.or("slack", 0.10)?;
+            let least = (MAX_POLICY_PARAM + 2) as f64;
+            if !(1.0 / least..).contains(&slack) {
+                return err(format!(
+                    "--slack must be at least 1/{least} (SW{MAX_POLICY_PARAM} is the largest \
+                     window), got {slack:?}"
+                ));
+            }
             let rec = recommend_k(slack);
             let _ = writeln!(
                 out,
@@ -102,7 +206,7 @@ pub(crate) fn recommend(args: &Args) -> Result<String, CliError> {
                 rec.avg_excess * 100.0,
                 rec.competitive_factor
             );
-            if omega >= 0.0 {
+            if let Some(omega) = omega {
                 match min_beneficial_k(omega) {
                     None => {
                         let _ = writeln!(
@@ -125,68 +229,72 @@ pub(crate) fn recommend(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `mdr simulate --policy SW9 --theta 0.3 [--requests 50000] [--seed 42]
-/// [--omega 0.3] [--latency 0.01] [--faults RATE] [--outage T]
-/// [--crash-prob P] [--volatile-prob P] [--arq-loss P] [--arq-timeout T]
-/// [--arq-budget N] [--arq-backoff F] [--arq-jitter J] [--arq-deadline D]
-/// [--cells N] [--mobility RATE] [--handoff-deadline D] [--handoff-loss P]
-/// [--broadcast-inv on]`
-pub(crate) fn simulate(args: &Args) -> Result<String, CliError> {
-    let spec = parse_policy(args.required("policy")?)?;
-    let theta: f64 = args.number("theta", 0.5)?;
-    if !(0.0..=1.0).contains(&theta) {
-        return err("θ must lie in [0, 1]");
+/// One simulated run, optionally with faults, the ARQ transport and the
+/// multi-cell topology.
+fn simulate(args: &Args) -> Result<String, CliError> {
+    let spec: PolicySpec = args.req("policy")?;
+    let Unit(theta) = args.or("theta", Unit(0.5))?;
+    let requests: usize = args.or("requests", 50_000)?;
+    let seed: u64 = args.or("seed", 42)?;
+    let latency: f64 = args.or("latency", 0.01)?;
+    let Unit(omega) = args.or("omega", Unit(0.5))?;
+    let fault_rate: f64 = args.or("faults", 0.0)?;
+    let mut builder = SimBuilder::new(spec)?.latency(latency)?;
+    let faults_on = fault_rate > 0.0;
+    args.only_if(
+        faults_on,
+        "--faults > 0",
+        &["outage", "crash-prob", "volatile-prob"],
+    )?;
+    if faults_on {
+        let plan = FaultPlan::new(fault_rate, args.or("outage", 2.0)?, seed ^ 0xFA17)?
+            .with_crashes(args.or("crash-prob", 0.3)?, args.or("volatile-prob", 0.5)?)?;
+        builder = builder.faults(plan)?;
     }
-    let requests: usize = args.number("requests", 50_000)?;
-    let seed: u64 = args.number("seed", 42)?;
-    let latency: f64 = args.number("latency", 0.01)?;
-    let omega: f64 = args.number("omega", 0.5)?;
-    let fault_rate: f64 = args.number("faults", 0.0)?;
-    let mut builder = SimBuilder::new(spec)
-        .and_then(|b| b.latency(latency))
-        .map_err(|e| CliError(e.to_string()))?;
-    if fault_rate > 0.0 {
-        let outage: f64 = args.number("outage", 2.0)?;
-        let crash: f64 = args.number("crash-prob", 0.3)?;
-        let volatile: f64 = args.number("volatile-prob", 0.5)?;
-        let plan = FaultPlan::new(fault_rate, outage, seed ^ 0xFA17)
-            .and_then(|p| p.with_crashes(crash, volatile))
-            .map_err(|e| CliError(e.to_string()))?;
-        builder = builder.faults(plan).map_err(|e| CliError(e.to_string()))?;
-    }
-    let arq_on = args.flags.contains_key("arq-loss");
-    if arq_on {
-        let arq_loss: f64 = args.number("arq-loss", 0.0)?;
-        let timeout: f64 = args.number("arq-timeout", 0.2)?;
-        let budget: u32 = args.number("arq-budget", 8)?;
-        let backoff: f64 = args.number("arq-backoff", 2.0)?;
-        let jitter: f64 = args.number("arq-jitter", 0.25)?;
-        let mut arq = ArqConfig::new(arq_loss, timeout, seed ^ 0xA6)
-            .and_then(|a| a.with_backoff(backoff, jitter))
-            .and_then(|a| a.with_retry_budget(budget))
-            .map_err(|e| CliError(e.to_string()))?;
-        if args.flags.contains_key("arq-deadline") {
-            let deadline: f64 = args.number("arq-deadline", 0.0)?;
-            arq = arq
-                .with_degrade_deadline(deadline)
-                .map_err(|e| CliError(e.to_string()))?;
+    let arq_loss: Option<f64> = args.opt("arq-loss")?;
+    args.only_if(
+        arq_loss.is_some(),
+        "--arq-loss",
+        &[
+            "arq-timeout",
+            "arq-budget",
+            "arq-backoff",
+            "arq-jitter",
+            "arq-deadline",
+        ],
+    )?;
+    if let Some(loss) = arq_loss {
+        let mut arq = ArqConfig::new(loss, args.or("arq-timeout", 0.2)?, seed ^ 0xA6)?
+            .with_backoff(args.or("arq-backoff", 2.0)?, args.or("arq-jitter", 0.25)?)?
+            .with_retry_budget(args.or("arq-budget", 8)?)?;
+        if let Some(deadline) = args.opt("arq-deadline")? {
+            arq = arq.with_degrade_deadline(deadline)?;
         }
-        builder = builder.arq(arq).map_err(|e| CliError(e.to_string()))?;
+        builder = builder.arq(arq)?;
     }
-    let cells: usize = args.number("cells", 1)?;
+    let cells: usize = args.or("cells", 1)?;
+    args.only_if(
+        cells > 1,
+        "--cells > 1",
+        &[
+            "mobility",
+            "handoff-deadline",
+            "handoff-loss",
+            "broadcast-inv",
+        ],
+    )?;
     if cells > 1 {
-        let mobility: f64 = args.number("mobility", 0.5)?;
-        let deadline: f64 = args.number("handoff-deadline", 1.0)?;
-        let handoff_loss: f64 = args.number("handoff-loss", 0.0)?;
-        let mut topology = TopologyConfig::new(cells, mobility, deadline, seed ^ 0x70)
-            .and_then(|t| t.with_loss(handoff_loss))
-            .map_err(|e| CliError(e.to_string()))?;
-        if args.get_or("broadcast-inv", "off") == "on" {
+        let mut topology = TopologyConfig::new(
+            cells,
+            args.or("mobility", 0.5)?,
+            args.or("handoff-deadline", 1.0)?,
+            seed ^ 0x70,
+        )?
+        .with_loss(args.or("handoff-loss", 0.0)?)?;
+        if args.switch("broadcast-inv")? {
             topology = topology.with_broadcast_invalidation();
         }
-        builder = builder
-            .topology(topology)
-            .map_err(|e| CliError(e.to_string()))?;
+        builder = builder.topology(topology)?;
     }
     let mut sim = builder.simulation();
     let mut workload = PoissonWorkload::from_theta(1.0, theta, seed);
@@ -212,7 +320,7 @@ pub(crate) fn simulate(args: &Args) -> Result<String, CliError> {
         "  replica: {} allocations, {} deallocations; mean read latency {:.4}; {} queued",
         report.allocations, report.deallocations, report.mean_read_latency, report.queued_requests
     );
-    if fault_rate > 0.0 {
+    if faults_on {
         let _ = writeln!(
             out,
             "  faults: {} disconnects ({} MC crashes), {} reconciliations",
@@ -224,7 +332,7 @@ pub(crate) fn simulate(args: &Args) -> Result<String, CliError> {
             report.aborted_messages, report.reconciliation_messages, report.discarded_deliveries
         );
     }
-    if arq_on {
+    if arq_loss.is_some() {
         let _ = writeln!(
             out,
             "  arq: {} retransmissions ({} settled), {} acks billed, {} retry escalations",
@@ -271,133 +379,83 @@ pub(crate) fn simulate(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn parse_f64_list(raw: &str, what: &str) -> Result<Vec<f64>, CliError> {
-    raw.split(',')
-        .map(|x| {
-            x.trim()
-                .parse::<f64>()
-                .map_err(|_| CliError(format!("invalid {what} {x:?}")))
-        })
-        .collect()
-}
-
-/// `mdr sweep [--preset e6|e17|e18|e19] [--policies ST1,SW3,...] [--thetas ...]
-/// [--models connection,message:0.4] [--omegas ...] [--fault-rates ...]
-/// [--arq-losses ...] [--replications R] [--requests N] [--seed S]
-/// [--latency L] [--oracle on] [--threads T] [--chunk C]
-/// [--format table|ledger|json] [--full on]`
-///
-/// Stdout is deterministic: the same grid prints the same bytes at any
-/// `--threads`, which is exactly what the CI determinism job diffs.
-/// Timing goes to stderr so it never perturbs the diff.
-pub(crate) fn sweep(args: &Args) -> Result<String, CliError> {
+/// A parameter grid run across a thread pool. Stdout is deterministic:
+/// the same grid prints the same bytes at any `--threads`, which is
+/// exactly what the CI determinism job diffs. Timing goes to stderr so it
+/// never perturbs the diff.
+fn sweep(args: &Args) -> Result<String, CliError> {
     let cfg = RunCfg {
-        fast: args.get_or("full", "off") == "off",
+        fast: !args.switch("full")?,
     };
-    let grid = match args.flags.get("preset") {
-        Some(name) => {
-            let Some(grid) = preset(name, cfg) else {
-                return err(format!(
-                    "unknown preset {name:?}; expected e6, e17, e18 or e19"
-                ));
-            };
-            // Presets fix their axes; only the run sizes stay adjustable.
-            grid
-        }
+    let preset_name: Option<String> = args.opt("preset")?;
+    // Presets fix their axes; only the run sizes stay adjustable.
+    args.only_if(
+        preset_name.is_none(),
+        "a custom grid (no --preset)",
+        &[
+            "policies",
+            "thetas",
+            "models",
+            "omegas",
+            "fault-rates",
+            "arq-losses",
+            "latency",
+            "oracle",
+            "seed",
+        ],
+    )?;
+    let grid = match preset_name {
+        Some(name) => preset(&name, cfg).ok_or_else(|| {
+            CliError(format!(
+                "unknown preset {name:?}; expected e6, e17, e18 or e19"
+            ))
+        })?,
         None => {
-            let seed: u64 = args.number("seed", 0x5EED)?;
-            let mut grid = SweepGrid::new(seed);
-            if let Some(raw) = args.flags.get("policies") {
-                let policies = raw
-                    .split(',')
-                    .map(|p| parse_policy(p.trim()))
-                    .collect::<Result<Vec<_>, _>>()?;
-                grid = grid
-                    .policies(policies)
-                    .map_err(|e| CliError(e.to_string()))?;
+            let mut grid = SweepGrid::new(args.or("seed", 0x5EED)?);
+            if let Some(policies) = args.list::<PolicySpec>("policies")? {
+                grid = grid.policies(policies)?;
             }
-            if let Some(raw) = args.flags.get("thetas") {
-                grid = grid
-                    .thetas(parse_f64_list(raw, "θ")?)
-                    .map_err(|e| CliError(e.to_string()))?;
+            if let Some(thetas) = args.list::<Unit>("thetas")? {
+                grid = grid.thetas(thetas.into_iter().map(|Unit(t)| t).collect())?;
             }
-            if let Some(raw) = args.flags.get("models") {
-                let models = raw
-                    .split(',')
-                    .map(|m| parse_model(m.trim()))
-                    .collect::<Result<Vec<_>, _>>()?;
-                grid = grid.models(models).map_err(|e| CliError(e.to_string()))?;
+            if let Some(models) = args.list::<CostModel>("models")? {
+                grid = grid.models(models)?;
             }
-            if let Some(raw) = args.flags.get("omegas") {
-                grid = grid
-                    .omegas(parse_f64_list(raw, "ω")?)
-                    .map_err(|e| CliError(e.to_string()))?;
+            if let Some(omegas) = args.list::<Unit>("omegas")? {
+                grid = grid.omegas(omegas.into_iter().map(|Unit(w)| w).collect())?;
             }
-            if let Some(raw) = args.flags.get("fault-rates") {
+            if let Some(rates) = args.list::<f64>("fault-rates")? {
                 // Each rate installs the E17 fault mix; rate 0 is the
                 // inert plan, and a no-plan baseline is always first.
                 let mut plans = vec![None];
-                for rate in parse_f64_list(raw, "fault rate")? {
+                for rate in rates {
                     if !(0.0..1.0).contains(&rate) {
                         return err(format!("fault rate must lie in [0, 1), got {rate}"));
                     }
                     plans.push(Some(e17_fault_plan(rate)));
                 }
-                grid = grid
-                    .fault_plans(plans)
-                    .map_err(|e| CliError(e.to_string()))?;
+                grid = grid.fault_plans(plans)?;
             }
-            if let Some(raw) = args.flags.get("arq-losses") {
+            if let Some(losses) = args.list::<f64>("arq-losses")? {
                 // Each loss rate installs the E18 transport point
                 // (budget 8, backoff 2, base timeout 0.2); a perfect-link
                 // baseline is always first.
                 let mut configs = vec![None];
-                for loss in parse_f64_list(raw, "ARQ loss rate")? {
+                for loss in losses {
                     if !(0.0..1.0).contains(&loss) {
                         return err(format!("ARQ loss rate must lie in [0, 1), got {loss}"));
                     }
                     configs.push(Some(e18_arq(loss, 8, 2.0)));
                 }
-                grid = grid
-                    .arq_configs(configs)
-                    .map_err(|e| CliError(e.to_string()))?;
+                grid = grid.arq_configs(configs)?;
             }
-            if let Some(latency) = args.flags.get("latency") {
-                let latency: f64 = latency
-                    .parse()
-                    .map_err(|_| CliError(format!("invalid latency {latency:?}")))?;
-                grid = grid.latency(latency).map_err(|e| CliError(e.to_string()))?;
+            if let Some(latency) = args.opt("latency")? {
+                grid = grid.latency(latency)?;
             }
-            grid = grid
-                .oracle(args.get_or("oracle", "off") == "on")
-                .map_err(|e| CliError(e.to_string()))?;
-            grid
+            grid.oracle(args.switch("oracle")?)?
         }
     };
-    // Run sizes are adjustable even on presets.
-    let grid = match args.flags.get("replications") {
-        Some(r) => {
-            let r: usize = r
-                .parse()
-                .map_err(|_| CliError(format!("invalid replication count {r:?}")))?;
-            grid.replications(r).map_err(|e| CliError(e.to_string()))?
-        }
-        None => grid,
-    };
-    let grid = match args.flags.get("requests") {
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|_| CliError(format!("invalid request count {n:?}")))?;
-            grid.requests(n).map_err(|e| CliError(e.to_string()))?
-        }
-        None => grid,
-    };
-
-    let options = SweepOptions {
-        threads: args.number("threads", 0)?,
-        chunk: args.number("chunk", 0)?,
-    };
+    let (grid, options) = run_sizes(args, grid)?;
     let started = std::time::Instant::now();
     let report = grid.run(options);
     // Timing is scheduling noise — keep it off the deterministic stdout.
@@ -409,7 +467,7 @@ pub(crate) fn sweep(args: &Args) -> Result<String, CliError> {
     );
 
     let mut out = String::new();
-    match args.get_or("format", "table") {
+    match args.or("format", "table".to_owned())?.as_str() {
         "table" => {
             let _ = writeln!(
                 out,
@@ -452,10 +510,22 @@ pub(crate) fn sweep(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `mdr bench --preset e6|e17|e18|e19 [--baseline BENCH_e17.json]
-/// [--gate-pct 10] [--write-baseline on] [--full on] [--requests N]
-/// [--replications R] [--threads T] [--chunk C] [--format table|json]`
-///
+/// Applies the run sizes (`--replications`, `--requests`), adjustable even
+/// on presets, and reads the fan-out (`--threads`, `--chunk`).
+fn run_sizes(args: &Args, mut grid: SweepGrid) -> Result<(SweepGrid, SweepOptions), CliError> {
+    if let Some(replications) = args.opt("replications")? {
+        grid = grid.replications(replications)?;
+    }
+    if let Some(requests) = args.opt("requests")? {
+        grid = grid.requests(requests)?;
+    }
+    let options = SweepOptions {
+        threads: args.or("threads", 0)?,
+        chunk: args.or("chunk", 0)?,
+    };
+    Ok((grid, options))
+}
+
 /// Measures a preset sweep with the typed perf API
 /// ([`SweepGrid::run_timed`]) and renders a [`BenchSnapshot`]: events
 /// processed, wall time, events/sec, and the deterministic ledger digest.
@@ -464,47 +534,29 @@ pub(crate) fn sweep(args: &Args) -> Result<String, CliError> {
 /// file exists, the measurement is gated against it — a throughput drop
 /// beyond `--gate-pct` percent, or *any* ledger-digest drift, is an
 /// error (non-zero exit), which is what the CI perf-gate job runs.
-pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
-    let Some(preset_name) = args.flags.get("preset") else {
-        return err("bench requires --preset e6|e17|e18|e19|serve");
-    };
-    if preset_name == "serve" {
-        return bench_serve(args);
+fn bench(args: &Args) -> Result<String, CliError> {
+    let preset_name: String = args.req("preset")?;
+    let serve = preset_name == "serve";
+    args.only_if(serve, "--preset serve", &["tenants", "seed"])?;
+    args.only_if(
+        !serve,
+        "a sweep preset (e6, e17, e18 or e19)",
+        &["threads", "chunk", "replications"],
+    )?;
+    let fast = !args.switch("full")?;
+    if serve {
+        return bench_serve(args, fast);
     }
-    let cfg = RunCfg {
-        fast: args.get_or("full", "off") == "off",
-    };
-    let Some(grid) = preset(preset_name, cfg) else {
+    let Some(grid) = preset(&preset_name, RunCfg { fast }) else {
         return err(format!(
             "unknown preset {preset_name:?}; expected e6, e17, e18, e19 or serve"
         ));
     };
-    let grid = match args.flags.get("replications") {
-        Some(r) => {
-            let r: usize = r
-                .parse()
-                .map_err(|_| CliError(format!("invalid replication count {r:?}")))?;
-            grid.replications(r).map_err(|e| CliError(e.to_string()))?
-        }
-        None => grid,
-    };
-    let grid = match args.flags.get("requests") {
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|_| CliError(format!("invalid request count {n:?}")))?;
-            grid.requests(n).map_err(|e| CliError(e.to_string()))?
-        }
-        None => grid,
-    };
-    let options = SweepOptions {
-        threads: args.number("threads", 0)?,
-        chunk: args.number("chunk", 0)?,
-    };
+    let (grid, options) = run_sizes(args, grid)?;
     let (report, stats) = grid.run_timed(options);
     let snapshot = BenchSnapshot::new(
-        preset_name,
-        cfg.fast,
+        &preset_name,
+        fast,
         grid.requests_per_run(),
         grid.runs(),
         stats,
@@ -513,8 +565,6 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
     render_bench(args, &snapshot)
 }
 
-/// `mdr bench --preset serve [--tenants N] [--requests R] [--seed S]`
-///
 /// The serving-layer benchmark: a deterministic multi-tenant session
 /// (mixed policy roster, per-tenant write fractions fanned across (0, 1))
 /// is pushed through [`ServeEngine::handle_line`] — the exact path `mdr
@@ -523,19 +573,17 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
 /// digest is the FNV-1a hash of every response byte, so the committed
 /// `BENCH_serve.json` pins the wire behaviour bit-for-bit: any drift
 /// fails the gate at any speed.
-fn bench_serve(args: &Args) -> Result<String, CliError> {
-    let fast = args.get_or("full", "off") == "off";
-    let tenants: usize = args.number("tenants", 8)?;
-    let per_tenant: usize = args.number("requests", if fast { 5_000 } else { 50_000 })?;
-    let seed: u64 = args.number("seed", 1994)?;
+fn bench_serve(args: &Args, fast: bool) -> Result<String, CliError> {
+    let tenants: usize = args.or("tenants", 8)?;
+    let per_tenant: usize = args.or("requests", if fast { 5_000 } else { 50_000 })?;
+    let seed: u64 = args.or("seed", 1994)?;
     if tenants == 0 || per_tenant == 0 {
         return err("--tenants and --requests must be at least 1");
     }
     // Workload synthesis is untimed: the clock covers only the serve path.
     let lines = serve_bench_lines(tenants, per_tenant, seed);
     let watch = Stopwatch::start();
-    let report =
-        run_serve_bench(&lines, ServeConfig::default()).map_err(|e| CliError(e.to_string()))?;
+    let report = run_serve_bench(&lines, ServeConfig::default())?;
     let stats = watch.stats(report.decisions);
     let snapshot = BenchSnapshot::new("serve", fast, per_tenant, tenants, stats, report.digest);
     render_bench(args, &snapshot)
@@ -548,24 +596,19 @@ fn bench_serve(args: &Args) -> Result<String, CliError> {
 /// the measurement — throughput drops beyond `--gate-pct`, or *any*
 /// digest drift, are errors.
 fn render_bench(args: &Args, snapshot: &BenchSnapshot) -> Result<String, CliError> {
-    let gate_pct: f64 = match args.flags.get("gate-pct") {
-        Some(p) => p
-            .parse()
-            .map_err(|_| CliError(format!("invalid gate percentage {p:?}")))?,
-        None => 10.0,
-    };
+    let gate_pct: f64 = args.or("gate-pct", 10.0)?;
     if !(0.0..100.0).contains(&gate_pct) {
         return err(format!(
             "gate percentage must lie in [0, 100), got {gate_pct}"
         ));
     }
-    let baseline_path = match args.get_or("baseline", "") {
-        "" => format!("BENCH_{}.json", snapshot.preset),
-        path => path.to_owned(),
-    };
+    let explicit_baseline: Option<String> = args.opt("baseline")?;
+    let baseline_path = explicit_baseline
+        .clone()
+        .unwrap_or_else(|| format!("BENCH_{}.json", snapshot.preset));
 
     let mut out = String::new();
-    match args.get_or("format", "table") {
+    match args.or("format", "table".to_owned())?.as_str() {
         "table" => {
             let _ = writeln!(
                 out,
@@ -589,7 +632,7 @@ fn render_bench(args: &Args, snapshot: &BenchSnapshot) -> Result<String, CliErro
         }
     }
 
-    if args.get_or("write-baseline", "off") == "on" {
+    if args.switch("write-baseline")? {
         std::fs::write(&baseline_path, snapshot.to_json())
             .map_err(|e| CliError(format!("cannot write baseline {baseline_path:?}: {e}")))?;
         let _ = writeln!(out, "baseline written: {baseline_path}");
@@ -608,7 +651,7 @@ fn render_bench(args: &Args, snapshot: &BenchSnapshot) -> Result<String, CliErro
                 return err(format!("perf gate failed: {}", verdict.render()));
             }
         }
-        Err(_) if args.flags.contains_key("baseline") => {
+        Err(_) if explicit_baseline.is_some() => {
             return err(format!("cannot read baseline {baseline_path:?}"));
         }
         Err(_) => {
@@ -624,30 +667,17 @@ fn render_bench(args: &Args, snapshot: &BenchSnapshot) -> Result<String, CliErro
 /// Builds the [`ServeConfig`] for `mdr serve` from its flags.
 fn serve_config(args: &Args) -> Result<ServeConfig, CliError> {
     let mut config = ServeConfig::default();
-    config.max_tenants = args.number("max-tenants", config.max_tenants)?;
+    config.max_tenants = args.or("max-tenants", config.max_tenants)?;
     if config.max_tenants == 0 {
         return err("--max-tenants must be at least 1");
     }
-    if let Some(budget) = args.flags.get("budget") {
-        let budget: u64 = budget
-            .parse()
-            .map_err(|_| CliError(format!("invalid decision budget {budget:?}")))?;
-        config.decision_budget = Some(budget);
-    }
-    if let Some(policy) = args.flags.get("policy") {
-        config.default_policy = parse_policy(policy)?;
-    }
-    if let Some(model) = args.flags.get("model") {
-        config.default_model = parse_model(model)?;
-    }
-    config.adaptive = args.get_or("adaptive", "off") == "on";
+    config.decision_budget = args.opt("budget")?;
+    config.default_policy = args.or("policy", config.default_policy)?;
+    config.default_model = args.or("model", config.default_model)?;
+    config.adaptive = args.switch("adaptive")?;
     Ok(config)
 }
 
-/// `mdr serve [--max-tenants N] [--policy P] [--model M] [--budget N]
-/// [--adaptive on] [--data-dir DIR] [--fsync always|interval[:N]|never]
-/// [--checkpoint-every N]`
-///
 /// The long-running decision daemon: newline-JSON requests on stdin, one
 /// JSON response per line on stdout, no async runtime — just a read loop
 /// over a [`ServeEngine`]. Every line gets exactly one response (malformed
@@ -665,65 +695,36 @@ fn serve_config(args: &Args) -> Result<ServeConfig, CliError> {
 /// unrecoverable tenants). Shutdown and end-of-input both flush a final
 /// checkpoint. The recovery summary goes to stderr; stdout carries only
 /// the wire protocol.
-pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
+fn serve(args: &Args) -> Result<String, CliError> {
     let config = serve_config(args)?;
-    match args.flags.get("data-dir") {
-        Some(dir) => serve_durable(args, config, &dir.clone()),
+    let data_dir: Option<String> = args.opt("data-dir")?;
+    args.only_if(
+        data_dir.is_some(),
+        "--data-dir",
+        &["fsync", "checkpoint-every"],
+    )?;
+    match data_dir {
+        Some(dir) => serve_durable(args, config, &dir)?,
         None => {
-            for flag in ["fsync", "checkpoint-every"] {
-                if args.flags.contains_key(flag) {
-                    return err(format!("--{flag} requires --data-dir"));
-                }
-            }
-            let mut engine = ServeEngine::new(config).map_err(|e| CliError(e.to_string()))?;
-            serve_loop(&mut engine)
+            let mut engine = ServeEngine::new(config)?;
+            serve_loop(|line, out| {
+                engine.handle_line_into(line, out);
+                engine.is_done()
+            })?;
         }
     }
-}
-
-/// What the serve read loop needs from a daemon backend: the in-memory
-/// engine and the durable wrapper both qualify.
-trait LineServer {
-    fn handle_line_into(&mut self, line: &str, out: &mut String);
-    fn is_done(&self) -> bool;
-    /// Runs when stdin ends without a `shutdown` op.
-    fn at_eof(&mut self) {}
-}
-
-impl LineServer for ServeEngine {
-    fn handle_line_into(&mut self, line: &str, out: &mut String) {
-        ServeEngine::handle_line_into(self, line, out);
-    }
-    fn is_done(&self) -> bool {
-        ServeEngine::is_done(self)
-    }
-}
-
-impl LineServer for DurableServe {
-    fn handle_line_into(&mut self, line: &str, out: &mut String) {
-        DurableServe::handle_line_into(self, line, out);
-    }
-    fn is_done(&self) -> bool {
-        DurableServe::is_done(self)
-    }
-    fn at_eof(&mut self) {
-        // End-of-input flushes like a shutdown: final checkpoint,
-        // compacted journal, everything fsynced.
-        self.finalize();
-    }
+    // Responses were streamed in-loop; nothing is left to print.
+    Ok(String::new())
 }
 
 /// The durable variant of the serve loop: recover, report to stderr,
 /// then serve with the journal in the write path.
-fn serve_durable(args: &Args, config: ServeConfig, dir: &str) -> Result<String, CliError> {
+fn serve_durable(args: &Args, config: ServeConfig, dir: &str) -> Result<(), CliError> {
     let mut journal = JournalConfig::new(dir);
-    if let Some(fsync) = args.flags.get("fsync") {
-        journal.fsync = parse_fsync(fsync)?;
-    }
-    journal.checkpoint_every = args.number("checkpoint-every", journal.checkpoint_every)?;
+    journal.fsync = args.or("fsync", journal.fsync)?;
+    journal.checkpoint_every = args.or("checkpoint-every", journal.checkpoint_every)?;
     let watch = Stopwatch::start();
-    let (mut serve, report) =
-        DurableServe::open(config, journal).map_err(|e| CliError(e.to_string()))?;
+    let (mut serve, report) = DurableServe::open(config, journal)?;
     let recovery = watch.stats(report.tenants.len() as u64);
     let stats = serve.stats();
     eprintln!(
@@ -743,44 +744,69 @@ fn serve_durable(args: &Args, config: ServeConfig, dir: &str) -> Result<String, 
     for dir_name in &report.skipped_dirs {
         eprintln!("skipped stray directory {dir_name:?} under tenants/");
     }
-    serve_loop(&mut serve)
+    let eof = serve_loop(|line, out| {
+        serve.handle_line_into(line, out);
+        serve.is_done()
+    })?;
+    if eof {
+        // End-of-input flushes like a shutdown: final checkpoint,
+        // compacted journal, everything fsynced.
+        serve.finalize();
+    }
+    Ok(())
 }
 
-/// The shared stdin→stdout read loop over either serve backend.
+/// The longest request line the daemon reads, in bytes: 16 times the
+/// largest request a valid policy needs, a `restore` of an SW65535
+/// snapshot (about 66 KB, one letter per window slot).
+const MAX_LINE: usize = 1 << 20;
+
+/// The stdin→stdout read loop. `handle` answers one line into the
+/// response buffer and says whether the daemon shut down; the loop
+/// returns whether stdin ended first.
 ///
 /// Lines are read as raw bytes into one reused buffer and answered into
-/// one reused response buffer; a line that is not UTF-8 gets a
-/// `bad-request` response like any other malformed line. Responses go
+/// one reused response buffer. A line that is not UTF-8, or is longer
+/// than [`MAX_LINE`], gets a `bad-request` response like any other
+/// malformed line; the rest of an over-long line is skipped up to its
+/// newline without being stored, so memory stays bounded. Responses go
 /// through a buffered writer that is flushed whenever the buffered input
 /// holds no complete line, i.e. just before the next read could block:
 /// a client that waits for each answer gets it at once, and a pipelined
 /// session pays one `write(2)` per batch rather than per line.
-fn serve_loop(server: &mut impl LineServer) -> Result<String, CliError> {
-    use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
+fn serve_loop(mut handle: impl FnMut(&str, &mut String) -> bool) -> Result<bool, CliError> {
+    use std::io::{BufRead as _, BufReader, BufWriter, Read as _, Write as _};
+    let read_err = |e: std::io::Error| CliError(format!("cannot read stdin: {e}"));
     let write_err = |e: std::io::Error| CliError(format!("cannot write stdout: {e}"));
     let mut input = BufReader::new(std::io::stdin().lock());
     let mut output = BufWriter::new(std::io::stdout().lock());
     let mut line = Vec::new();
     let mut response = String::new();
-    let mut shut_down = false;
+    let mut eof = true;
     loop {
         line.clear();
-        let read = input
+        let read = (&mut input)
+            .take(MAX_LINE as u64 + 1)
             .read_until(b'\n', &mut line)
-            .map_err(|e| CliError(format!("cannot read stdin: {e}")))?;
+            .map_err(read_err)?;
         if read == 0 {
             break;
         }
+        response.clear();
         if line.last() == Some(&b'\n') {
             line.pop();
             if line.last() == Some(&b'\r') {
                 line.pop();
             }
+        } else if line.len() > MAX_LINE {
+            skip_line(&mut input).map_err(read_err)?;
+            line.clear();
+            let detail = format!("line is longer than {MAX_LINE} bytes");
+            write_response(&mut response, &ServeResponse::bad_request(detail));
         }
-        response.clear();
         match std::str::from_utf8(&line) {
             Ok(text) if text.trim().is_empty() => {}
-            Ok(text) => server.handle_line_into(text, &mut response),
+            Ok(text) => eof = !handle(text, &mut response),
             Err(e) => write_response(
                 &mut response,
                 &ServeResponse::bad_request(format!("line is not valid UTF-8: {e}")),
@@ -790,8 +816,7 @@ fn serve_loop(server: &mut impl LineServer) -> Result<String, CliError> {
             response.push('\n');
             output.write_all(response.as_bytes()).map_err(write_err)?;
         }
-        if server.is_done() {
-            shut_down = true;
+        if !eof {
             break;
         }
         if !input.buffer().contains(&b'\n') {
@@ -799,23 +824,39 @@ fn serve_loop(server: &mut impl LineServer) -> Result<String, CliError> {
         }
     }
     output.flush().map_err(write_err)?;
-    if !shut_down {
-        server.at_eof();
-    }
-    // Responses were streamed in-loop; nothing is left to print.
-    Ok(String::new())
+    Ok(eof)
 }
 
-/// `mdr worst-case --policy SW5 --model message:0.5 [--max-len 13]
-/// [--cycles 300]`
-pub(crate) fn worst_case(args: &Args) -> Result<String, CliError> {
-    let spec = parse_policy(args.required("policy")?)?;
-    let model = parse_model(args.get_or("model", "connection"))?;
-    let max_len: usize = args.number("max-len", 13)?;
+/// Discards input up to and including the next newline (or to EOF).
+fn skip_line(input: &mut impl std::io::BufRead) -> std::io::Result<()> {
+    loop {
+        let buffer = input.fill_buf()?;
+        if buffer.is_empty() {
+            return Ok(());
+        }
+        match buffer.iter().position(|&b| b == b'\n') {
+            Some(end) => {
+                input.consume(end + 1);
+                return Ok(());
+            }
+            None => {
+                let len = buffer.len();
+                input.consume(len);
+            }
+        }
+    }
+}
+
+/// A policy's worst case against the offline optimum: its adversarial
+/// schedule, then an exhaustive search over short schedules.
+fn worst_case(args: &Args) -> Result<String, CliError> {
+    let spec: PolicySpec = args.req("policy")?;
+    let model = args.or("model", CostModel::Connection)?;
+    let max_len: usize = args.or("max-len", 13)?;
     if !(1..=20).contains(&max_len) {
         return err("--max-len must lie in 1..=20");
     }
-    let cycles: usize = args.number("cycles", 300)?;
+    let cycles: usize = args.or("cycles", 300)?;
     let mut out = String::new();
     let _ = writeln!(out, "policy: {spec}   model: {model}");
     match competitive_factor(spec, model) {
@@ -861,14 +902,11 @@ pub(crate) fn worst_case(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `mdr trace --schedule rrwwr --policy SW3 [--model connection]`
-pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
-    let spec = parse_policy(args.required("policy")?)?;
-    let model = parse_model(args.get_or("model", "connection"))?;
-    let schedule: Schedule = args
-        .required("schedule")?
-        .parse()
-        .map_err(|e| CliError(format!("bad schedule: {e}")))?;
+/// A per-request execution trace of one policy on one schedule.
+fn trace(args: &Args) -> Result<String, CliError> {
+    let spec: PolicySpec = args.req("policy")?;
+    let model = args.or("model", CostModel::Connection)?;
+    let schedule: Schedule = args.req("schedule")?;
     let mut policy = spec.build();
     let steps = trace_policy(policy.as_mut(), &schedule, model);
     let mut out = String::new();
@@ -895,28 +933,40 @@ pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `mdr multi --profile profile.json` — the JSON is a map from class names
-/// like `"r{0,1}"` / `"w{2}"` to rates.
-pub(crate) fn multi(args: &Args) -> Result<String, CliError> {
-    let path = args.required("profile")?;
-    let text = std::fs::read_to_string(path)
+/// The §7.2 optimal multi-object allocation. The profile JSON maps class
+/// names like `"r{0,1}"` / `"w{2}"` to rates; it is checked here, so
+/// [`mdr_multi::OperationProfile::new`]'s asserts never see a bad one.
+fn multi(args: &Args) -> Result<String, CliError> {
+    let path: String = args.req("profile")?;
+    let text = std::fs::read_to_string(&path)
         .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
     let raw: std::collections::BTreeMap<String, f64> =
         serde_json::from_str(&text).map_err(|e| CliError(format!("invalid JSON profile: {e}")))?;
-    let mut entries = Vec::new();
+    let mut entries: Vec<(mdr_multi::Operation, f64)> = Vec::new();
     let mut n_objects = 0usize;
-    for (class, rate) in &raw {
+    for (class, &rate) in &raw {
         let (kind, objs) = parse_class(class)?;
+        if !(rate.is_finite() && rate >= 0.0) {
+            return err(format!(
+                "rate of {class:?} must be finite and non-negative, got {rate}"
+            ));
+        }
         n_objects = n_objects.max(objs.iter().copied().max().map_or(0, |m| m + 1));
         let set = mdr_multi::ObjectSet::from_objects(&objs);
         let op = match kind {
             'r' => mdr_multi::Operation::read(set),
             _ => mdr_multi::Operation::write(set),
         };
-        entries.push((op, *rate));
+        if entries.iter().any(|(seen, _)| *seen == op) {
+            return err(format!("class {class:?} repeats another class's objects"));
+        }
+        entries.push((op, rate));
     }
     if n_objects == 0 {
         return err("profile names no objects");
+    }
+    if entries.iter().all(|&(_, rate)| rate <= 0.0) {
+        return err("profile must have a positive total rate");
     }
     let profile = mdr_multi::OperationProfile::new(n_objects, entries);
     let (best, cost) = profile.optimal_allocation();
@@ -944,85 +994,17 @@ fn parse_class(s: &str) -> Result<(char, Vec<usize>), CliError> {
         .strip_prefix('{')
         .and_then(|r| r.strip_suffix('}'))
         .ok_or_else(|| CliError(format!("class {s:?} must look like r{{0,1}}")))?;
-    let objs = inner
+    inner
         .split(',')
-        .map(|x| {
-            x.trim()
-                .parse::<usize>()
-                .map_err(|_| CliError(format!("bad object index {x:?} in {s:?}")))
+        .map(|x| match x.trim().parse::<usize>() {
+            Ok(object) if object < MAX_OBJECTS => Ok(object),
+            _ => err(format!(
+                "bad object index {x:?} in {s:?} (expected 0 to {})",
+                MAX_OBJECTS - 1
+            )),
         })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((kind, objs))
-}
-
-fn name(w: Winner) -> &'static str {
-    match w {
-        Winner::St1 => "ST1",
-        Winner::St2 => "ST2",
-        Winner::Sw1 => "SW1",
-    }
-}
-
-/// Dispatches a parsed command line.
-pub(crate) fn dispatch(args: &Args) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "analyze" => analyze(args),
-        "recommend" => recommend(args),
-        "simulate" => simulate(args),
-        "sweep" => sweep(args),
-        "bench" => bench(args),
-        "serve" => serve(args),
-        "worst-case" => worst_case(args),
-        "trace" => trace(args),
-        "multi" => multi(args),
-        other => err(format!("unknown subcommand {other:?}; see `mdr help`")),
-    }
-}
-
-/// The help text.
-pub(crate) fn help() -> String {
-    "mdr — data replication for mobile computers (SIGMOD 1994)
-
-subcommands:
-  analyze    --policy <P> [--model M] [--theta T]      closed-form costs & competitiveness
-  recommend  [--theta T] [--omega W] [--slack S]       which policy to run (Figure 1 / §9)
-  simulate   --policy <P> [--theta T] [--requests N] [--seed S] [--omega W] [--latency L]
-             [--faults RATE] [--outage T] [--crash-prob P] [--volatile-prob P]
-             (RATE > 0 injects MC disconnections/crashes + reconnection recovery)
-             [--arq-loss P] [--arq-timeout T] [--arq-budget N] [--arq-backoff F]
-             [--arq-jitter J] [--arq-deadline D]
-             (--arq-loss enables the timed ARQ transport: timeout/backoff
-              retransmission, retry budgets, graceful degradation)
-             [--cells N] [--mobility RATE] [--handoff-deadline D] [--handoff-loss P]
-             [--broadcast-inv on]
-             (--cells > 1 enables the multi-cell topology: seed-driven migration,
-              epoch-fenced three-way handoff, stale-replica invalidation)
-  sweep      [--preset e6|e17|e18|e19] [--policies P1,P2] [--thetas ...] [--models ...]
-             [--omegas ...] [--fault-rates ...] [--arq-losses ...] [--replications R]
-             [--requests N] [--seed S] [--latency L] [--oracle on] [--threads T]
-             [--chunk C] [--format table|ledger|json] [--full on]
-             (deterministic parallel grid; stdout is byte-identical at any --threads)
-  bench      --preset e6|e17|e18|e19|serve [--baseline BENCH_e17.json] [--gate-pct 10]
-             [--write-baseline on] [--full on] [--requests N] [--replications R]
-             [--threads T] [--chunk C] [--format table|json]
-             (typed perf measurement: events, wall time, events/sec, ledger digest;
-              gates against a committed BENCH_*.json — digest drift always fails.
-              --preset serve times the decision daemon: decisions/sec through the
-              full JSON wire path, with [--tenants N] [--requests R] [--seed S])
-  serve      [--max-tenants N] [--policy P] [--model M] [--budget N] [--adaptive on]
-             [--data-dir DIR] [--fsync always|interval[:N]|never] [--checkpoint-every N]
-             (long-running decision daemon: newline-JSON on stdin/stdout, one
-              DecisionCore per tenant; open/decide/stats/snapshot/restore/close;
-              --data-dir makes it crash-safe: write-ahead journal + checkpoints,
-              recovery with quarantine on restart; see docs/serve.md)
-  worst-case --policy <P> [--model M] [--max-len L] [--cycles C]
-  trace      --policy <P> --schedule rrwwr [--model M] per-request execution trace
-  multi      --profile profile.json                    §7.2 optimal multi-object allocation
-
-policies: ST1, ST2, SW<k> (odd k), T1:<m>, T2:<m>
-models:   connection | message:<omega>   (ω ∈ [0,1])
-"
-    .to_owned()
+        .collect::<Result<Vec<_>, _>>()
+        .map(|objs| (kind, objs))
 }
 
 #[cfg(test)]
@@ -1031,7 +1013,7 @@ mod tests {
 
     fn run(argv: &[&str]) -> Result<String, CliError> {
         let v: Vec<String> = argv.iter().map(ToString::to_string).collect();
-        dispatch(&Args::parse(&v).unwrap())
+        dispatch(&v)
     }
 
     #[test]
@@ -1373,10 +1355,36 @@ mod tests {
     #[test]
     fn bad_inputs_give_friendly_errors() {
         assert!(run(&["bogus"]).is_err());
+        assert!(run(&["--policy", "SW3"]).is_err());
         assert!(run(&["analyze"]).is_err(), "missing --policy");
         assert!(run(&["analyze", "--policy", "SW4"]).is_err(), "even k");
         assert!(run(&["trace", "--policy", "SW3", "--schedule", "rxw"]).is_err());
         assert!(run(&["worst-case", "--policy", "SW3", "--max-len", "25"]).is_err());
+        assert_eq!(
+            run(&["bench", "--preset", "e17", "--gate-pc", "1"]),
+            err("unknown flag --gate-pc for `mdr bench`; did you mean --gate-pct?")
+        );
+        assert_eq!(
+            run(&["analyze", "--policy", "SW3", "--omega", "0.3"]),
+            err("unknown flag --omega for `mdr analyze`; did you mean --theta?")
+        );
+        assert!(run(&["sweep", "--preset", "e6", "--full", "yes"]).is_err());
+    }
+
+    #[test]
+    fn largest_restore_line_fits_under_the_line_cap() {
+        let mut engine = ServeEngine::new(ServeConfig::default()).unwrap();
+        let open = engine.handle_line(r#"{"op":"open","tenant":"a","policy":"SW65535"}"#);
+        assert!(open.starts_with(r#"{"ok":"open""#), "{open}");
+        let snapshot = engine.handle_line(r#"{"op":"snapshot","tenant":"a"}"#);
+        let body = snapshot
+            .strip_prefix(r#"{"ok":"snapshot","tenant":"a","snapshot":"#)
+            .and_then(|rest| rest.strip_suffix('}'))
+            .unwrap();
+        let restore = format!(r#"{{"op":"restore","tenant":"a","snapshot":{body}}}"#);
+        assert!(restore.len() > 65_535 && restore.len() < MAX_LINE);
+        let restored = engine.handle_line(&restore);
+        assert!(restored.starts_with(r#"{"ok":"restore""#), "{restored}");
     }
 
     #[test]

@@ -10,8 +10,7 @@ fn main() {
         print!("{}", commands::help());
         return;
     }
-    let result = parse::Args::parse(&argv).and_then(|args| commands::dispatch(&args));
-    match result {
+    match commands::dispatch(&argv) {
         Ok(out) => print!("{out}"),
         Err(e) => {
             eprintln!("error: {e}");

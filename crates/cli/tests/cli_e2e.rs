@@ -30,6 +30,9 @@ fn help_lists_every_subcommand() {
     ] {
         assert!(stdout.contains(cmd), "help should mention {cmd}:\n{stdout}");
     }
+    // The text is generated from the command table; the pin keeps it
+    // byte-identical.
+    assert_eq!(stdout, include_str!("fixtures/help.expected"));
 }
 
 #[test]
@@ -89,6 +92,83 @@ fn errors_exit_nonzero_with_guidance() {
     let (_, stderr, ok) = mdr(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown subcommand"), "{stderr}");
+}
+
+#[test]
+fn misspelled_flag_fails_before_measuring() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mdr"))
+        .args(["bench", "--preset", "e17", "--gate-pc", "1"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("did you mean --gate-pct?"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing was measured");
+}
+
+#[test]
+fn bad_values_and_ignored_flags_are_usage_errors_not_panics() {
+    let dir = scratch_dir("profiles");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let profile = |name: &str, json: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, json).expect("profile written");
+        path.display().to_string()
+    };
+    let unknown_object = profile("object.json", r#"{"r{25}": 1.0}"#);
+    let negative_rate = profile("rate.json", r#"{"r{0}": -1.0}"#);
+    let duplicate_class = profile("dup.json", r#"{"r{0}": 1.0, "r{ 0}": 2.0}"#);
+    let cases: &[&[&str]] = &[
+        // Switches take exactly `on` or `off`.
+        &["sweep", "--preset", "e6", "--full", "yes"],
+        &["sweep", "--oracle", "yes"],
+        // Out-of-range θ, ω and slack.
+        &["recommend", "--omega", "1.5"],
+        &["recommend", "--omega", "1.5", "--theta", "0.5"],
+        &["recommend", "--theta", "7"],
+        &["recommend", "--slack", "-3"],
+        &["recommend", "--omega", "-0.5"],
+        &["simulate", "--policy", "SW3", "--omega", "2"],
+        &["sweep", "--policies", "SW3", "--omegas", "2"],
+        // Bad multi-object profiles.
+        &["multi", "--profile", &unknown_object],
+        &["multi", "--profile", &negative_rate],
+        &["multi", "--profile", &duplicate_class],
+        // Flags the chosen mode would ignore.
+        &["sweep", "--preset", "e6", "--thetas", "0.5"],
+        &["sweep", "--preset", "e6", "--seed", "3"],
+        &["simulate", "--policy", "SW3", "--outage", "3"],
+        &["simulate", "--policy", "SW3", "--crash-prob", "0.1"],
+        &["simulate", "--policy", "SW3", "--arq-timeout", "1"],
+        &["simulate", "--policy", "SW3", "--arq-deadline", "1"],
+        &["simulate", "--policy", "SW3", "--mobility", "1"],
+        &[
+            "simulate",
+            "--policy",
+            "SW3",
+            "--cells",
+            "1",
+            "--broadcast-inv",
+            "on",
+        ],
+        &["bench", "--preset", "e17", "--tenants", "3"],
+        &["bench", "--preset", "e17", "--seed", "3"],
+        &["bench", "--preset", "serve", "--threads", "2"],
+        &["bench", "--preset", "serve", "--replications", "2"],
+        &["recommend", "--theta", "0.3", "--slack", "0.1"],
+        &["sweep", "--thread", "4"],
+    ];
+    for argv in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_mdr"))
+            .args(*argv)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{argv:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -389,6 +469,33 @@ fn serve_answers_an_interactive_client_line_by_line() {
             assert!(lines[500].contains(r#""seq":500,"#), "{}", lines[500]);
             assert!(lines[501].contains(r#""decisions":500"#), "{}", lines[501]);
         });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn serve_answers_an_over_long_line_once_and_keeps_serving() {
+    // 2 MiB with no newline until the end: over the daemon's line cap.
+    let long = "x".repeat(2 << 20);
+    let session = format!("{long}\n{{\"op\":\"open\",\"tenant\":\"a\"}}\n{long}");
+    for durable in [false, true] {
+        let dir = scratch_dir("long-line");
+        let dir_arg = dir.display().to_string();
+        let mut args = vec!["serve"];
+        if durable {
+            args.extend(["--data-dir", &dir_arg]);
+        }
+        let (stdout, stderr, ok) = mdr_with_stdin(&args, &session);
+        assert!(ok, "{stderr}");
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), 3, "{stdout}");
+        for i in [0, 2] {
+            assert!(
+                lines[i].starts_with(r#"{"err":"bad-request""#) && lines[i].contains("longer than"),
+                "{stdout}"
+            );
+        }
+        assert!(lines[1].starts_with(r#"{"ok":"open""#), "{stdout}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

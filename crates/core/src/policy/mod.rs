@@ -291,6 +291,8 @@ mod tests {
         }
         // The colon form and lower case are accepted too.
         assert_eq!("t1:5".parse::<PolicySpec>(), Ok(PolicySpec::T1 { m: 5 }));
+        assert_eq!("t2(3)".parse::<PolicySpec>(), Ok(PolicySpec::T2 { m: 3 }));
+        assert_eq!("st1".parse::<PolicySpec>(), Ok(PolicySpec::St1));
         assert_eq!(
             "sw7".parse::<PolicySpec>(),
             Ok(PolicySpec::SlidingWindow { k: 7 })

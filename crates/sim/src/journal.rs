@@ -428,6 +428,42 @@ pub enum FsyncPolicy {
     Never,
 }
 
+/// Error from parsing a [`FsyncPolicy`] out of its textual notation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseFsyncError(String);
+
+impl std::fmt::Display for ParseFsyncError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ParseFsyncError {}
+
+impl std::str::FromStr for FsyncPolicy {
+    type Err = ParseFsyncError;
+
+    /// Parses `always`, `never`, or `interval[:N]` with `N ≥ 1`
+    /// (`interval` alone syncs every 64 records).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "always" => Ok(FsyncPolicy::Always),
+            "never" => Ok(FsyncPolicy::Never),
+            "interval" => Ok(FsyncPolicy::Interval(64)),
+            _ => match s.strip_prefix("interval:").map(str::parse) {
+                Some(Ok(0)) => Err(ParseFsyncError(
+                    "fsync interval must be at least 1".to_owned(),
+                )),
+                Some(Ok(n)) => Ok(FsyncPolicy::Interval(n)),
+                Some(Err(_)) => Err(ParseFsyncError(format!("invalid fsync interval in {s:?}"))),
+                None => Err(ParseFsyncError(format!(
+                    "unknown fsync policy {s:?}; expected always, never, or interval[:N]"
+                ))),
+            },
+        }
+    }
+}
+
 /// Where and how the durability layer persists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalConfig {
@@ -1291,6 +1327,17 @@ mod tests {
 
     fn open_at(dir: &Path) -> (DurableServe, RecoveryReport) {
         DurableServe::open(ServeConfig::default(), JournalConfig::new(dir)).expect("open")
+    }
+
+    #[test]
+    fn fsync_policies_parse() {
+        assert_eq!("always".parse(), Ok(FsyncPolicy::Always));
+        assert_eq!("never".parse(), Ok(FsyncPolicy::Never));
+        assert_eq!("interval".parse(), Ok(FsyncPolicy::Interval(64)));
+        assert_eq!("interval:7".parse(), Ok(FsyncPolicy::Interval(7)));
+        for bad in ["interval:0", "interval:x", "sometimes", "ALWAYS"] {
+            assert!(bad.parse::<FsyncPolicy>().is_err(), "{bad}");
+        }
     }
 
     #[test]

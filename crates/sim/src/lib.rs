@@ -57,7 +57,8 @@ pub use engine::{
 pub use estimate::{estimate_average_cost, estimate_expected_cost, EstimatorConfig, Summary};
 pub use faults::{ArqConfig, ConfigError, FaultKind, FaultPlan};
 pub use journal::{
-    DurabilityStats, DurableServe, FsyncPolicy, JournalConfig, RecoveryReport, TenantRecovery,
+    DurabilityStats, DurableServe, FsyncPolicy, JournalConfig, ParseFsyncError, RecoveryReport,
+    TenantRecovery,
 };
 pub use nodes::{MobileNode, StationaryNode};
 pub use protocol::{Envelope, ProtocolState, StepOutcome};
