@@ -1023,6 +1023,7 @@ impl ServeEngine {
             ConfigError::UnknownTenant { .. } => "unknown-tenant",
             ConfigError::BadDecisionRequest { .. } => "bad-request",
             ConfigError::SnapshotVersion { .. } => "snapshot-version",
+            ConfigError::TenantName { .. } => "tenant-name",
             ConfigError::DataDir { .. } => "data-dir",
             ConfigError::JournalCorrupt { .. } => "journal-corrupt",
             ConfigError::CheckpointVersion { .. } => "checkpoint-version",
@@ -1048,6 +1049,7 @@ impl ServeEngine {
                 reason: "tenant id must be non-empty".to_owned(),
             });
         }
+        crate::journal::validate_tenant_name(tenant)?;
         if self.tenants.contains_key(tenant) {
             return Ok(Some(ServeResponse::Error {
                 code: "tenant-exists".to_owned(),

@@ -189,6 +189,14 @@ pub enum ConfigError {
         /// The tenant id the request named.
         tenant: String,
     },
+    /// A tenant name whose escaped directory form does not fit in one
+    /// directory entry, so the durable backend could not store it.
+    TenantName {
+        /// Length in bytes of the escaped name.
+        escaped_len: usize,
+        /// The longest escaped name allowed.
+        limit: usize,
+    },
     /// Opening one more tenant would exceed the serve layer's admission
     /// limit.
     TenantLimit {
@@ -345,6 +353,12 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::UnknownTenant { tenant } => {
                 write!(f, "tenant {tenant:?} is not open")
+            }
+            ConfigError::TenantName { escaped_len, limit } => {
+                write!(
+                    f,
+                    "tenant name escapes to {escaped_len} bytes on disk; the limit is {limit}"
+                )
             }
             ConfigError::TenantLimit { limit } => {
                 write!(f, "tenant limit of {limit} reached; close a tenant first")

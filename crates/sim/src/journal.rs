@@ -621,6 +621,29 @@ pub fn escape_tenant(name: &str) -> String {
     out
 }
 
+/// The longest escaped tenant name: one directory entry on common
+/// filesystems.
+pub const MAX_TENANT_DIR: usize = 255;
+
+/// The tenant-name rule, shared by both backends: a name is valid if its
+/// [`escape_tenant`] form fits in one [`MAX_TENANT_DIR`]-byte directory
+/// entry, so every name the memory backend admits the durable backend
+/// can store.
+///
+/// # Errors
+///
+/// [`ConfigError::TenantName`] for a name that escapes too long.
+pub fn validate_tenant_name(name: &str) -> Result<(), ConfigError> {
+    let escaped_len = escape_tenant(name).len();
+    if escaped_len > MAX_TENANT_DIR {
+        return Err(ConfigError::TenantName {
+            escaped_len,
+            limit: MAX_TENANT_DIR,
+        });
+    }
+    Ok(())
+}
+
 /// Inverts [`escape_tenant`]; `None` for names no escape produces
 /// (stray directories are skipped by recovery, never guessed at).
 pub fn unescape_tenant(escaped: &str) -> Option<String> {
@@ -738,7 +761,8 @@ impl DurableServe {
         dir_names.sort();
 
         for escaped in dir_names {
-            let Some(name) = unescape_tenant(&escaped) else {
+            let Some(name) = unescape_tenant(&escaped).filter(|n| validate_tenant_name(n).is_ok())
+            else {
                 report.skipped_dirs.push(escaped);
                 continue;
             };
@@ -1613,6 +1637,40 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// One tenant-name rule for both backends: a name whose escaped form
+    /// overflows a directory entry gets the same `tenant-name` error in
+    /// memory and on disk and stays unknown to both, and the longest
+    /// valid names (plain, or with every byte escaped) open under both.
+    #[test]
+    fn tenant_names_get_the_same_answer_in_memory_and_on_disk() {
+        let dir = temp_dir("names");
+        let (mut durable, _) = open_at(&dir);
+        let mut memory = ServeEngine::new(ServeConfig::default()).expect("engine");
+        let longest = "a".repeat(MAX_TENANT_DIR);
+        let longest_escaped = ".".repeat(MAX_TENANT_DIR / 3);
+        for name in [
+            "a".repeat(300),
+            format!("{longest}a"),
+            format!("{longest_escaped}."),
+        ] {
+            let open = format!(r#"{{"op":"open","tenant":"{name}"}}"#);
+            let answer = memory.handle_line(&open);
+            assert!(answer.starts_with(r#"{"err":"tenant-name""#), "{answer}");
+            assert_eq!(answer, durable.handle_line(&open));
+            let decide = format!(r#"{{"op":"decide","tenant":"{name}","request":"r"}}"#);
+            let answer = memory.handle_line(&decide);
+            assert!(answer.contains("unknown-tenant"), "{answer}");
+            assert_eq!(answer, durable.handle_line(&decide));
+        }
+        for name in [longest, longest_escaped] {
+            let open = format!(r#"{{"op":"open","tenant":"{name}"}}"#);
+            let answer = memory.handle_line(&open);
+            assert!(answer.starts_with(r#"{"ok":"open""#), "{answer}");
+            assert_eq!(answer, durable.handle_line(&open));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn corrupt_tenant_quarantines_without_harming_neighbours() {
         let dir = temp_dir("quarantine");
@@ -1708,6 +1766,28 @@ mod tests {
             .map(|i| encode_record(i + 1, &JournalOp::Decide { request: 'r' }).len() as u64)
             .sum();
         assert!(len < full, "journal was compacted ({len} < {full})");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `finalize` checkpoints each open tenant once, and a checkpoint
+    /// the interval asks for but cannot write counts as one failure.
+    #[test]
+    fn checkpoint_tallies_count_each_outcome_once() {
+        let dir = temp_dir("ckpt-tally");
+        let mut cfg = JournalConfig::new(&dir);
+        cfg.checkpoint_every = 2;
+        let (mut serve, _) = DurableServe::open(ServeConfig::default(), cfg).expect("open");
+        serve.handle_line(r#"{"op":"open","tenant":"a"}"#);
+        serve.handle_line(r#"{"op":"open","tenant":"b"}"#);
+        // The tenant directory vanishes under the open journal handle:
+        // the append still lands, the checkpoint's temp file cannot.
+        fs::remove_dir_all(dir.join(TENANTS_DIR).join("b")).expect("remove b");
+        serve.handle_line(r#"{"op":"decide","tenant":"b","request":"r"}"#);
+        assert_eq!(serve.stats().checkpoint_failures, 1);
+        assert_eq!(serve.stats().checkpoints, 0);
+        serve.handle_line(r#"{"op":"close","tenant":"b"}"#);
+        serve.finalize();
+        assert_eq!(serve.stats().checkpoints, 1, "one open tenant");
         let _ = fs::remove_dir_all(&dir);
     }
 

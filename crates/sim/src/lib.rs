@@ -39,6 +39,7 @@ pub mod calendar;
 pub mod engine;
 mod estimate;
 mod faults;
+mod handoff;
 pub mod journal;
 mod nodes;
 pub mod perf;
@@ -56,6 +57,7 @@ pub use engine::{
 };
 pub use estimate::{estimate_average_cost, estimate_expected_cost, EstimatorConfig, Summary};
 pub use faults::{ArqConfig, ConfigError, FaultKind, FaultPlan};
+pub use handoff::{HandoffLedger, HandoffLeg, HandoffMachine, HandoffOutput, HandoffOutputs};
 pub use journal::{
     DurabilityStats, DurableServe, FsyncPolicy, JournalConfig, ParseFsyncError, RecoveryReport,
     TenantRecovery,
@@ -66,7 +68,7 @@ pub use sim::{
     InvariantMonitor, LossConfig, MobilityConfig, RunLimit, ShedReason, ShedRequest, SimConfig,
     SimReport, Simulation,
 };
-pub use topology::{HandoffLeg, HandoffSnapshot, TopologyConfig};
+pub use topology::TopologyConfig;
 pub use wire::{Endpoint, MessageClass, WireMessage};
 pub use workload::{
     Arrival, ArrivalProcess, DriftingPoisson, Period, PhasedWorkload, PoissonWorkload,

@@ -164,20 +164,6 @@ impl ProtocolState {
         self.recovering
     }
 
-    /// The replica state a handoff's `StateTransfer` leg ships to the
-    /// target cell (mobility extension; `docs/topology.md`): the primary's
-    /// version, the SC's replication commitment (ST2 replica state) and
-    /// which side holds the §4 window (T1/T2 streaks live on whichever
-    /// side is in charge).
-    pub fn handoff_snapshot(&self) -> crate::topology::HandoffSnapshot {
-        crate::topology::HandoffSnapshot {
-            version: self.sc.version(),
-            mc_has_copy: self.sc.mc_has_copy(),
-            sc_in_charge: self.sc.in_charge(),
-            mc_in_charge: self.mc.in_charge(),
-        }
-    }
-
     fn complete(&mut self, action: Action) -> StepOutcome {
         self.counts.record(action);
         self.serving = None;

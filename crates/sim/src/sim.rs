@@ -14,9 +14,10 @@
 use crate::calendar::{key_lt, CalendarQueue};
 use crate::engine::DecisionCore;
 use crate::faults::{bitwise_eq, ArqConfig, FaultKind, FaultPlan};
+use crate::handoff::{HandoffLedger, HandoffLeg, HandoffMachine, HandoffOutput, HandoffOutputs};
 use crate::perf::{BatchedF64, PerfStats, Stopwatch};
 use crate::protocol::{Envelope, ProtocolState, StepOutcome};
-use crate::topology::{HandoffLeg, HandoffSnapshot, TopologyConfig};
+use crate::topology::TopologyConfig;
 use crate::workload::{exp_sample, Arrival, ArrivalProcess};
 use mdr_core::{Action, ActionCounts, CostModel, PolicySpec, Request, Schedule};
 use std::collections::VecDeque;
@@ -434,36 +435,19 @@ impl InvariantMonitor {
         );
     }
 
-    /// Handoff-ledger consistency check (mobility extension): every billed
-    /// backbone leg attempt is accounted for exactly once — settled with a
-    /// committed flight, aborted with a fenced one, or still in the air —
-    /// and the invalidation bill matches its class's pricing rule (one
-    /// broadcast per round, or one unicast per dropped replica).
+    /// Handoff-ledger consistency check (mobility extension): the
+    /// [`HandoffLedger::check`] identities — every billed backbone leg
+    /// attempt settled, aborted or in the air exactly once, and the
+    /// invalidation bill matching its class's pricing rule.
     ///
     /// # Panics
     ///
     /// Panics if either identity does not hold.
-    pub fn check_handoff_billing(
-        &mut self,
-        billed: u64,
-        settled: u64,
-        aborted: u64,
-        in_flight: u64,
-        invalidation_billed: u64,
-        invalidation_expected: u64,
-    ) {
+    pub fn check_handoff_billing(&mut self, ledger: &HandoffLedger) {
         self.checks += 1;
-        assert_eq!(
-            billed,
-            settled + aborted + in_flight,
-            "handoff billing identity broken: {billed} billed vs {settled} settled + \
-             {aborted} aborted + {in_flight} in flight"
-        );
-        assert_eq!(
-            invalidation_billed, invalidation_expected,
-            "invalidation billing identity broken: {invalidation_billed} billed vs \
-             {invalidation_expected} owed by the invalidation class's pricing rule"
-        );
+        if let Err(broken) = ledger.check() {
+            panic!("{broken}");
+        }
     }
 }
 
@@ -759,34 +743,10 @@ pub struct Simulation {
     /// ghosts on cannot perturb the legs' loss fates — the idempotence
     /// property in `properties.rs` relies on this.
     topology_ghost_rng: Option<BatchedF64>,
-    /// The cell the MC currently sits in (distinct from `current_cell`,
-    /// the latency-only cellular model's position).
-    mc_cell: usize,
-    /// The cell whose SC currently owns the window and replica state.
-    owner_cell: usize,
-    /// Cells left holding a stale replica copy by an aborted transfer or
-    /// a committed migration; cleared by invalidation on commit.
-    stale_replica: Vec<bool>,
-    /// The handoff flight currently in the air, if any.
-    handoff: Option<HandoffFlight>,
-    /// Monotone epoch source; every flight gets a fresh epoch and legs of
-    /// older epochs self-discard (the fence).
-    handoff_epoch: u64,
-    /// Whether the last handoff attempt aborted with the MC still away
-    /// from the owner cell: reads are served stale from the origin and
-    /// wire-needing requests are shed with a typed outcome.
-    handoff_stuck: bool,
-    migrations: u64,
-    handoffs_committed: u64,
-    handoffs_aborted: u64,
-    handoff_messages: u64,
-    settled_handoff_messages: u64,
-    aborted_handoff_messages: u64,
-    invalidation_messages: u64,
-    invalidation_rounds: u64,
-    replicas_invalidated: u64,
-    stale_reads: u64,
-    handoff_discards: u64,
+    /// Ownership, fence, flight and bills of the multi-cell handoff; its
+    /// MC cell is distinct from `current_cell`, the latency-only cellular
+    /// model's position.
+    handoff: HandoffMachine,
     monitor: InvariantMonitor,
 }
 
@@ -808,34 +768,6 @@ struct ArqOutstanding {
 struct Exchange {
     request: Request,
     arrived_at: f64,
-}
-
-/// Book-keeping for the three-way handoff flight currently in the air
-/// (mobility extension, `docs/topology.md`). At most one flight exists at
-/// a time; a migration mid-flight fences the epoch and starts over.
-#[derive(Debug, Clone)]
-struct HandoffFlight {
-    /// The cell ownership departs from (and rolls back to on abort).
-    origin: usize,
-    /// The cell ownership is migrating toward (always the MC's cell at
-    /// initiation; a migration mid-flight aborts and re-initiates).
-    target: usize,
-    /// The fence: legs stamped with an older epoch self-discard.
-    epoch: u64,
-    /// The leg currently in the air.
-    awaiting: HandoffLeg,
-    /// Transmission attempts of the awaiting leg (1 = the original send);
-    /// reset when the flight advances to the next leg.
-    attempts: u32,
-    /// Billed backbone attempts of this flight — settled on commit, moved
-    /// to the aborted tally if the deadline or a migration fences it.
-    messages: u64,
-    /// Whether the state-transfer leg landed at the target (an abort then
-    /// leaves an orphaned stale replica there to invalidate later).
-    transfer_landed: bool,
-    /// The window/replica state captured at initiation and shipped on the
-    /// state-transfer leg.
-    snapshot: HandoffSnapshot,
 }
 
 /// A uniformly chosen cell other than `current` out of `cells`, from one
@@ -871,6 +803,10 @@ impl Simulation {
             .map_or(0.0, |m| m.cell_extra_latency[0]);
         let home_cell = config.topology.as_ref().map_or(0, |t| t.home_cell);
         let cells = config.topology.as_ref().map_or(1, |t| t.cells);
+        let broadcast_invalidation = config
+            .topology
+            .as_ref()
+            .is_some_and(|t| t.broadcast_invalidation);
         Simulation {
             protocol: ProtocolState::new(config.policy),
             oracle: config.oracle_check.then(|| {
@@ -938,23 +874,7 @@ impl Simulation {
             recoveries: 0,
             topology_rng,
             topology_ghost_rng,
-            mc_cell: home_cell,
-            owner_cell: home_cell,
-            stale_replica: vec![false; cells],
-            handoff: None,
-            handoff_epoch: 0,
-            handoff_stuck: false,
-            migrations: 0,
-            handoffs_committed: 0,
-            handoffs_aborted: 0,
-            handoff_messages: 0,
-            settled_handoff_messages: 0,
-            aborted_handoff_messages: 0,
-            invalidation_messages: 0,
-            invalidation_rounds: 0,
-            replicas_invalidated: 0,
-            stale_reads: 0,
-            handoff_discards: 0,
+            handoff: HandoffMachine::new(cells, home_cell, broadcast_invalidation),
             monitor: InvariantMonitor::new(),
         }
     }
@@ -1006,7 +926,7 @@ impl Simulation {
             // already shed or are locally servable, so this branch keeps
             // FIFO intact.)
             self.shed_request(arrival, ShedReason::DegradedPartition);
-        } else if self.handoff_stuck
+        } else if self.handoff.stuck()
             && self.pending.is_empty()
             && self.suspended.is_none()
             && self.needs_wire(arrival.request)
@@ -1404,13 +1324,22 @@ impl Simulation {
                     self.perform_migration();
                     self.schedule_next_migration();
                 }
-                Event::HandoffLegArrive { epoch, leg } => self.handle_handoff_leg(epoch, leg),
+                Event::HandoffLegArrive { epoch, leg } => {
+                    let outputs = self.handoff.leg_arrived(epoch, leg);
+                    self.act_on_handoff(outputs);
+                }
                 Event::HandoffRetry {
                     epoch,
                     leg,
                     attempt,
-                } => self.handle_handoff_retry(epoch, leg, attempt),
-                Event::HandoffDeadline { epoch } => self.handle_handoff_deadline(epoch),
+                } => {
+                    let outputs = self.handoff.retry_due(epoch, leg, attempt);
+                    self.act_on_handoff(outputs);
+                }
+                Event::HandoffDeadline { epoch } => {
+                    let outputs = self.handoff.deadline(epoch);
+                    self.act_on_handoff(outputs);
+                }
             }
         }
         self.report()
@@ -1473,9 +1402,8 @@ impl Simulation {
         self.push_event(self.now + dwell, Event::Migrate);
     }
 
-    /// Moves the MC to a uniformly chosen *different* cell and kicks off
-    /// the ownership handoff. A migration while a flight is already in the
-    /// air fences that flight's epoch (abort + rollback to the origin) and
+    /// Moves the MC to a uniformly chosen *different* cell and feeds the
+    /// move to the handoff machine, which fences a flight in the air and
     /// re-initiates toward the new cell, so a live flight always targets
     /// the MC's current cell.
     fn perform_migration(&mut self) {
@@ -1484,52 +1412,46 @@ impl Simulation {
         else {
             unreachable!("migrations require a topology")
         };
-        self.mc_cell = other_cell(rng, topology.cells, self.mc_cell);
-        self.migrations += 1;
-        if self.handoff.is_some() {
-            self.abort_handoff();
-        }
-        if self.mc_cell != self.owner_cell {
-            self.initiate_handoff();
-        } else {
+        let cell = other_cell(rng, topology.cells, self.handoff.mc_cell());
+        let outputs = self.handoff.migrate(cell);
+        self.act_on_handoff(outputs);
+        if !self.handoff.in_flight() {
             // Moved back into the owner cell: nothing left to migrate.
-            self.handoff_stuck = false;
             self.drain_pending();
         }
     }
 
-    /// Starts a fresh three-way handoff flight from the owner cell toward
-    /// the MC's current cell under a new epoch, arms its deadline, and
-    /// sends the first leg.
-    fn initiate_handoff(&mut self) {
-        let Some(topology) = self.config.topology.as_ref() else {
-            unreachable!("handoffs require a topology")
-        };
-        debug_assert!(self.handoff.is_none(), "at most one flight in the air");
-        debug_assert_ne!(self.owner_cell, self.mc_cell);
-        self.handoff_epoch += 1;
-        let epoch = self.handoff_epoch;
-        let deadline = topology.handoff_deadline;
-        self.handoff = Some(HandoffFlight {
-            origin: self.owner_cell,
-            target: self.mc_cell,
-            epoch,
-            awaiting: HandoffLeg::Request,
-            attempts: 0,
-            messages: 0,
-            transfer_landed: false,
-            snapshot: self.protocol.handoff_snapshot(),
-        });
-        self.push_event(self.now + deadline, Event::HandoffDeadline { epoch });
-        self.send_handoff_leg(HandoffLeg::Request);
+    /// Carries out the handoff machine's outputs in order: legs go on the
+    /// backbone, deadlines into the calendar, an abort sheds and a commit
+    /// drains the queue.
+    fn act_on_handoff(&mut self, outputs: HandoffOutputs) {
+        for output in outputs {
+            match output {
+                HandoffOutput::SendLeg {
+                    epoch,
+                    leg,
+                    attempt,
+                } => self.send_handoff_leg(epoch, leg, attempt),
+                HandoffOutput::ArmDeadline { epoch } => {
+                    let Some(topology) = self.config.topology.as_ref() else {
+                        unreachable!("handoffs require a topology")
+                    };
+                    let at = self.now + topology.handoff_deadline;
+                    self.push_event(at, Event::HandoffDeadline { epoch });
+                }
+                HandoffOutput::Aborted => self.shed_behind_stuck_handoff(),
+                HandoffOutput::Committed => self.drain_pending(),
+                HandoffOutput::Discarded => {}
+            }
+        }
     }
 
-    /// One backbone transmission attempt of the awaiting leg: bill it,
+    /// One backbone transmission attempt of a leg the machine has billed:
     /// draw its fate, schedule the arrival if it survives, and — with the
     /// ARQ transport installed — arm a retransmission timer under the
     /// transport's own timeout law and retry budget. Without ARQ a leg is
     /// sent once and the deadline abort is the only recovery.
-    fn send_handoff_leg(&mut self, leg: HandoffLeg) {
+    fn send_handoff_leg(&mut self, epoch: u64, leg: HandoffLeg, attempt: u32) {
         let (Some(topology), Some(rng)) = (self.config.topology, self.topology_rng.as_mut()) else {
             unreachable!("handoff legs require a topology")
         };
@@ -1538,14 +1460,6 @@ impl Simulation {
         // attempt count alone.
         let lost = rng.draw() < topology.loss_probability;
         let jitter_u = rng.draw();
-        let Some(flight) = self.handoff.as_mut() else {
-            unreachable!("sending a leg requires a flight in the air")
-        };
-        flight.attempts += 1;
-        flight.messages += 1;
-        let attempt = flight.attempts;
-        let epoch = flight.epoch;
-        self.handoff_messages += 1;
         if !lost {
             // Backbone legs ride SC-to-SC wiring at the base latency: no
             // cellular extra, no wireless billing.
@@ -1605,136 +1519,17 @@ impl Simulation {
         }
     }
 
-    /// A handoff leg landed. Stale copies — wrong epoch (fenced flight),
-    /// wrong leg (duplicated or reordered copy of an already-processed
-    /// one) — self-discard against the fence; a current leg advances the
-    /// flight's state machine.
-    fn handle_handoff_leg(&mut self, epoch: u64, leg: HandoffLeg) {
-        let current = self
-            .handoff
-            .as_ref()
-            .is_some_and(|f| f.epoch == epoch && f.awaiting == leg);
-        if !current {
-            self.handoff_discards += 1;
-            return;
-        }
-        match leg {
-            HandoffLeg::Request => {
-                let Some(flight) = self.handoff.as_mut() else {
-                    unreachable!("checked above")
-                };
-                flight.awaiting = HandoffLeg::Transfer;
-                flight.attempts = 0;
-                self.send_handoff_leg(HandoffLeg::Transfer);
-            }
-            HandoffLeg::Transfer => {
-                let Some(flight) = self.handoff.as_mut() else {
-                    unreachable!("checked above")
-                };
-                debug_assert!(
-                    flight.snapshot.version <= self.protocol.sc().version(),
-                    "the shipped snapshot cannot be newer than the SC"
-                );
-                flight.transfer_landed = true;
-                flight.awaiting = HandoffLeg::Commit;
-                flight.attempts = 0;
-                self.send_handoff_leg(HandoffLeg::Commit);
-            }
-            HandoffLeg::Commit => self.commit_handoff(),
-        }
-    }
-
-    /// A leg retransmission timer fired. If the flight, leg, and attempt
-    /// count still match — the leg neither landed nor was fenced in the
-    /// meantime — retransmit it.
-    fn handle_handoff_retry(&mut self, epoch: u64, leg: HandoffLeg, attempt: u32) {
-        let current = self
-            .handoff
-            .as_ref()
-            .is_some_and(|f| f.epoch == epoch && f.awaiting == leg && f.attempts == attempt);
-        if !current {
-            return; // landed, advanced, or fenced: stale timer
-        }
-        self.send_handoff_leg(leg);
-    }
-
-    /// The deadline for the flight with `epoch` expired. If that flight is
-    /// still in the air, abort it (rollback to the origin cell) and — with
-    /// the MC still away from the owner — try again under a fresh epoch.
-    fn handle_handoff_deadline(&mut self, epoch: u64) {
-        let current = self.handoff.as_ref().is_some_and(|f| f.epoch == epoch);
-        if !current {
-            return; // committed or already fenced: stale deadline
-        }
-        self.abort_handoff();
-        if self.mc_cell != self.owner_cell {
-            self.initiate_handoff();
-        }
-    }
-
-    /// Aborts the flight in the air: ownership rolls back to (stays at)
-    /// the origin cell, the flight's billed legs move to the aborted
-    /// tally, an orphaned transfer leaves a stale replica at the target,
-    /// and the simulator enters the stuck-handoff degradation — reads are
-    /// served stale from the origin and wire-needing requests shed.
-    fn abort_handoff(&mut self) {
-        let Some(flight) = self.handoff.take() else {
-            return;
-        };
-        self.handoffs_aborted += 1;
-        self.aborted_handoff_messages += flight.messages;
-        if flight.transfer_landed {
-            self.stale_replica[flight.target] = true;
-        }
-        self.handoff_stuck = true;
-        // Degrade like a sustained partition: shed queued wire-needing
-        // requests (typed outcome) and serve what completes locally, so
-        // the queue cannot wedge behind a handoff of unknown length.
+    /// A flight aborted and the handoff is stuck: degrade like a sustained
+    /// partition — shed queued wire-needing requests (typed outcome) and
+    /// serve what completes locally, so the queue cannot wedge behind a
+    /// handoff of unknown length.
+    fn shed_behind_stuck_handoff(&mut self) {
         let queued = std::mem::take(&mut self.pending);
         for arrival in queued {
             if self.needs_wire(arrival.request) {
                 self.shed_request(arrival, ShedReason::HandoffStuck);
             } else {
                 self.pending.push_back(arrival);
-            }
-        }
-        self.drain_pending();
-    }
-
-    /// The commit leg landed at the target: ownership moves, the origin's
-    /// replica goes stale, and invalidation traffic (the third message
-    /// class) makes every non-owner cell drop its stale copy — one
-    /// broadcast per commit round, or one unicast per stale replica.
-    fn commit_handoff(&mut self) {
-        let Some(flight) = self.handoff.take() else {
-            unreachable!("committing requires a flight in the air")
-        };
-        debug_assert_eq!(
-            flight.target, self.mc_cell,
-            "a migration mid-flight re-fences the handoff"
-        );
-        self.settled_handoff_messages += flight.messages;
-        self.handoffs_committed += 1;
-        self.stale_replica[flight.origin] = true;
-        self.owner_cell = flight.target;
-        self.stale_replica[flight.target] = false;
-        self.handoff_stuck = false;
-        let stale = self.stale_replica.iter().filter(|s| **s).count() as u64;
-        if stale > 0 {
-            let broadcast = self
-                .config
-                .topology
-                .as_ref()
-                .is_some_and(|t| t.broadcast_invalidation);
-            if broadcast {
-                self.invalidation_messages += 1;
-                self.invalidation_rounds += 1;
-            } else {
-                self.invalidation_messages += stale;
-            }
-            self.replicas_invalidated += stale;
-            for s in &mut self.stale_replica {
-                *s = false;
             }
         }
         self.drain_pending();
@@ -1767,7 +1562,7 @@ impl Simulation {
         // ownership is mid-migration between cells, so neither SC may run
         // the exchange. Local reads still go through (served stale from
         // the origin cell) and silent writes complete on the MC alone.
-        if self.handoff_stuck && self.needs_wire(request) {
+        if self.handoff.stuck() && self.needs_wire(request) {
             return false;
         }
         if self.link_up {
@@ -1803,12 +1598,9 @@ impl Simulation {
                         self.degraded_reads += 1;
                         self.staleness_sum += self.now - since;
                     }
-                    if self.mc_cell != self.owner_cell {
-                        // Window ownership is away from (or migrating
-                        // toward) the MC's cell: the read is served stale
-                        // from the origin cell's state.
-                        self.stale_reads += 1;
-                    }
+                    // Stale if window ownership is away from (or
+                    // migrating toward) the MC's cell.
+                    self.handoff.local_read();
                 }
                 self.complete(arrival, action);
             }
@@ -2138,25 +1930,7 @@ impl Simulation {
         // bill above. Skipped for an inert plan, which must reproduce the
         // single-cell run exactly — including the check counter.
         if self.topology_active() {
-            let in_flight = self.handoff.as_ref().map_or(0, |f| f.messages);
-            let broadcast = self
-                .config
-                .topology
-                .as_ref()
-                .is_some_and(|t| t.broadcast_invalidation);
-            let invalidation_expected = if broadcast {
-                self.invalidation_rounds
-            } else {
-                self.replicas_invalidated
-            };
-            self.monitor.check_handoff_billing(
-                self.handoff_messages,
-                self.settled_handoff_messages,
-                self.aborted_handoff_messages,
-                in_flight,
-                self.invalidation_messages,
-                invalidation_expected,
-            );
+            self.monitor.check_handoff_billing(&self.handoff.ledger());
         }
         // Oracle equivalence: the distributed protocol must take exactly
         // the action the decision core decides for the same request.
@@ -2212,17 +1986,17 @@ impl Simulation {
             recoveries: self.recoveries,
             invariant_checks: self.monitor.checks(),
             events_processed: self.events_processed,
-            migrations: self.migrations,
-            handoffs_committed: self.handoffs_committed,
-            handoffs_aborted: self.handoffs_aborted,
-            handoff_messages: self.handoff_messages,
-            settled_handoff_messages: self.settled_handoff_messages,
-            aborted_handoff_messages: self.aborted_handoff_messages,
-            invalidation_messages: self.invalidation_messages,
-            invalidation_rounds: self.invalidation_rounds,
-            replicas_invalidated: self.replicas_invalidated,
-            stale_reads: self.stale_reads,
-            handoff_discards: self.handoff_discards,
+            migrations: self.handoff.migrations,
+            handoffs_committed: self.handoff.handoffs_committed,
+            handoffs_aborted: self.handoff.handoffs_aborted,
+            handoff_messages: self.handoff.handoff_messages,
+            settled_handoff_messages: self.handoff.settled_handoff_messages,
+            aborted_handoff_messages: self.handoff.aborted_handoff_messages,
+            invalidation_messages: self.handoff.invalidation_messages,
+            invalidation_rounds: self.handoff.invalidation_rounds,
+            replicas_invalidated: self.handoff.replicas_invalidated,
+            stale_reads: self.handoff.stale_reads,
+            handoff_discards: self.handoff.handoff_discards,
         }
     }
 }
@@ -2256,6 +2030,20 @@ mod tests {
     use super::*;
     use crate::SimBuilder;
     use mdr_core::run_spec;
+
+    /// Same-instant events of one rank keep their push order only
+    /// because every push takes a fresh `seq`: the calendar key must
+    /// never repeat.
+    #[test]
+    fn every_pushed_event_gets_a_fresh_seq() {
+        let mut sim = Simulation::new(SimConfig::defaults(PolicySpec::SlidingWindow { k: 3 }));
+        sim.push_event(1.0, Event::Migrate);
+        sim.push_event(1.0, Event::Migrate);
+        let first = sim.events.peek_key().map(|(_, _, seq)| seq);
+        sim.events.pop();
+        let second = sim.events.peek_key().map(|(_, _, seq)| seq);
+        assert!(second > first, "{first:?} then {second:?}");
+    }
 
     #[test]
     fn protocol_equals_reference_policy_on_fixed_schedules() {
@@ -2464,9 +2252,17 @@ mod tests {
         // under-report the run's online coverage.
         let mut monitor = InvariantMonitor::new();
         assert_eq!(monitor.checks(), 0);
-        monitor.check_handoff_billing(3, 3, 0, 0, 5, 5);
+        let ledger = |billed, settled, aborted, in_flight, invalidation| HandoffLedger {
+            billed,
+            settled,
+            aborted,
+            in_flight,
+            invalidation_billed: invalidation,
+            invalidation_expected: invalidation,
+        };
+        monitor.check_handoff_billing(&ledger(3, 3, 0, 0, 5));
         assert_eq!(monitor.checks(), 1);
-        monitor.check_handoff_billing(7, 3, 3, 1, 0, 0);
+        monitor.check_handoff_billing(&ledger(7, 3, 3, 1, 0));
         assert_eq!(monitor.checks(), 2);
     }
 }

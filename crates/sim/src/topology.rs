@@ -7,7 +7,7 @@
 //! seed-driven mobility plan that migrates the MC between cells mid-run.
 //! Whenever the MC's current cell differs from the cell that owns its
 //! replica state, the simulator runs a three-way handoff over the wired
-//! inter-SC backbone:
+//! inter-SC backbone, driving the state machine in `handoff.rs`:
 //!
 //! ```text
 //! owner cell                      target cell
@@ -42,47 +42,6 @@
 //! reproduces the single-cell ledger digest bit for bit.
 
 use crate::faults::{bitwise_eq, ConfigError};
-
-/// The three legs of the handoff protocol, in wire order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HandoffLeg {
-    /// Origin → target: announce the migration, carrying the new epoch.
-    Request,
-    /// Origin → target: the replica snapshot (version, SWk window, T1/T2
-    /// streaks) — the one data-class leg.
-    Transfer,
-    /// Target → origin: acknowledge the snapshot; ownership moves when
-    /// this lands at the origin.
-    Commit,
-}
-
-impl HandoffLeg {
-    /// Short display name for logs and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            HandoffLeg::Request => "handoff-request",
-            HandoffLeg::Transfer => "state-transfer",
-            HandoffLeg::Commit => "handoff-commit",
-        }
-    }
-}
-
-/// The replica state a `StateTransfer` leg ships from the origin cell to
-/// the target cell: everything the §4 protocol keeps at the SC side, so
-/// the target can continue the exchange history seamlessly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HandoffSnapshot {
-    /// The primary's version counter at the origin.
-    pub version: u64,
-    /// Whether the origin SC is committed to propagating writes (ST2
-    /// replica state rides this bit).
-    pub mc_has_copy: bool,
-    /// Whether the origin SC holds the §4 request window.
-    pub sc_in_charge: bool,
-    /// Whether the MC holds the §4 request window (T1/T2 streaks live on
-    /// whichever side is in charge).
-    pub mc_in_charge: bool,
-}
 
 /// A multi-cell topology with a deterministic, seed-driven mobility plan.
 ///
@@ -364,19 +323,5 @@ mod tests {
         assert_eq!(a, b);
         let c = TopologyConfig::new(3, 0.5, 2.0, 10).unwrap();
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn leg_names_are_distinct() {
-        use std::collections::HashSet;
-        let names: HashSet<&str> = [
-            HandoffLeg::Request,
-            HandoffLeg::Transfer,
-            HandoffLeg::Commit,
-        ]
-        .into_iter()
-        .map(HandoffLeg::name)
-        .collect();
-        assert_eq!(names.len(), 3);
     }
 }

@@ -1,85 +1,52 @@
-//! Bounded model checking of the multi-cell handoff protocol.
+//! Bounded model checking of the multi-cell handoff.
 //!
 //! The mobility layer (see `docs/topology.md`) migrates SWk window
 //! ownership between stationary cells with a three-leg flight —
 //! HandoffRequest → StateTransfer → HandoffCommit — fenced by a
-//! monotonically increasing epoch and rolled back to the origin cell on
-//! timeout or crash. This module explores every interleaving of cell
-//! migrations, leg deliveries, backbone losses with retransmission,
-//! duplicated/reordered commit legs, deadline aborts and MC
-//! crash/reconnect cycles, deduplicating by full state hash, and judges
-//! each reached state against three invariants:
+//! monotonically increasing epoch and aborted on its deadline. The state
+//! machine that runs it is the simulator's own
+//! [`HandoffMachine`](mdr_sim::HandoffMachine); this module drives that
+//! machine through every interleaving of cell migrations, leg deliveries,
+//! backbone losses with retransmission, duplicated commit legs and
+//! deadline firings, deduplicating by full state hash.
 //!
-//! * **single owner across cells** — exactly one cell considers itself
-//!   in charge of the window at every reachable state; an aborted
-//!   handoff rolls ownership back to the origin, a committed one moves
-//!   it to the target, and a stale (epoch-fenced) commit ghost moves
-//!   nothing;
-//! * **no lost window** — whenever no handoff is in flight, the cell
-//!   that owns the window also *holds* it: the state snapshot shipped by
-//!   the transfer leg is never orphaned by a commit that outran it or an
-//!   abort that forgot the rollback;
-//! * **billing identity** — every billed handoff leg is settled by a
-//!   commit, written off by an abort, or still in flight
-//!   (`billed == settled + aborted + in_flight`), and the invalidation
-//!   traffic billed on commits equals what the stale-replica bookkeeping
-//!   demands (`invalidation_billed == invalidation_expected`).
+//! Besides the machine, a checker state holds only what the network and
+//! the observer own: the leg in the air, at most one commit ghost, the
+//! per-path budgets, the last deadline armed, and where the current
+//! flight's StateTransfer landed. The network drops the leg of a fenced
+//! flight; the commit ghost, which may land after any number of later
+//! transitions, is what tests the fence against late copies. Each
+//! reached state is judged against two invariants:
 //!
-//! The checker is deliberately *not* built on the simulator's event
-//! queue: it is a small, self-contained transition relation over the
-//! ownership/billing facts the simulator's
-//! [`TopologyConfig`](mdr_sim::TopologyConfig) runs maintain, so the two
-//! implementations can disagree and the disagreement be caught by the
-//! shared invariant statements. Seeded [`HandoffFault`] mutants prove
-//! the suite has teeth.
+//! * **no lost window** — whenever no handoff is in flight, the MC's cell
+//!   owns the window, holds the state the last committed transfer
+//!   shipped, and the handoff is not stuck;
+//! * **billing identity** — the machine's
+//!   [`HandoffLedger`](mdr_sim::HandoffLedger) holds: every billed leg is
+//!   settled, aborted or in flight, and the invalidation bill matches its
+//!   pricing rule.
+//!
+//! A single owner needs no check: the machine keeps exactly one owner
+//! cell. The checker's teeth are source mutants of the machine itself
+//! (`cargo xtask mutate` targets `crates/sim/src/handoff.rs`).
 
-use mdr_sim::HandoffLeg;
+use mdr_sim::{HandoffLeg, HandoffMachine, HandoffOutput, HandoffOutputs};
 use std::collections::HashSet;
 use std::fmt;
-
-/// Deliberate handoff-protocol mutations for the checker's self-test:
-/// each must be caught by a [`HandoffInvariant`], demonstrating the
-/// suite would catch the corresponding implementation bug.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandoffFault {
-    /// Apply a duplicated/reordered HandoffCommit without checking its
-    /// epoch against the current flight: a stale ghost re-commits a
-    /// finished handoff and moves ownership to a cell that no longer
-    /// holds the window.
-    SkipEpochFence,
-    /// On a deadline abort, "forget" the rollback to the origin cell:
-    /// the origin already relinquished, the target never committed, and
-    /// the window has no owner.
-    SkipRollback,
-    /// Send the HandoffCommit straight after the HandoffRequest, before
-    /// the StateTransfer has landed: the target becomes the owner of a
-    /// window it never received.
-    CommitWithoutTransfer,
-    /// Skip the invalidation fan-out on commit: non-owner cells keep
-    /// serving stale replicas and the invalidation bill falls short of
-    /// what the stale-replica bookkeeping demands.
-    SkipInvalidation,
-    /// Put a handoff leg on the backbone without billing it: the
-    /// settled/aborted accounting outruns the bill.
-    FreeHandoffLeg,
-}
 
 /// The invariant classes the handoff checker enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HandoffInvariant {
-    /// Exactly one cell owns the window at every reachable state.
-    SingleOwnerAcrossCells,
-    /// At quiescence the owning cell holds the transferred window state.
+    /// At quiescence the MC's cell owns and holds the window, unstuck.
     NoLostWindow,
     /// Billed legs = settled + aborted + in flight, and the invalidation
-    /// bill matches the stale-replica bookkeeping.
+    /// bill matches its pricing rule.
     BillingIdentity,
 }
 
 impl fmt::Display for HandoffInvariant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
-            HandoffInvariant::SingleOwnerAcrossCells => "single-owner-across-cells",
             HandoffInvariant::NoLostWindow => "no-lost-window",
             HandoffInvariant::BillingIdentity => "billing-identity",
         };
@@ -111,8 +78,8 @@ impl fmt::Display for HandoffViolation {
     }
 }
 
-/// One bounded handoff exploration: cell count, depth, per-path fault
-/// budgets, and an optional seeded mutation.
+/// One bounded handoff exploration: cell count, depth and per-path
+/// budgets.
 #[derive(Debug, Clone)]
 pub struct HandoffConfig {
     /// Number of stationary cells (≥ 2 for any migration to exist).
@@ -124,17 +91,14 @@ pub struct HandoffConfig {
     /// Maximum backbone leg losses (each retransmitted and re-billed)
     /// along one path.
     pub max_losses: u8,
-    /// Maximum deadline aborts plus MC crash/reconnect cycles along one
-    /// path (both abort the in-flight handoff and re-initiate).
-    pub max_faults: u8,
+    /// Maximum deadline firings along one path.
+    pub max_deadlines: u8,
     /// Maximum duplicated (ghost) commit legs along one path.
     pub max_dups: u8,
-    /// Optional seeded mutation (checker self-test).
-    pub fault: Option<HandoffFault>,
 }
 
 impl HandoffConfig {
-    /// A lossless, fault-free exploration of migrations over `cells`
+    /// A lossless, deadline-free exploration of migrations over `cells`
     /// cells to `depth`.
     pub fn new(cells: u8, depth: usize) -> Self {
         HandoffConfig {
@@ -142,9 +106,8 @@ impl HandoffConfig {
             depth,
             max_migrations: 3,
             max_losses: 0,
-            max_faults: 0,
+            max_deadlines: 0,
             max_dups: 0,
-            fault: None,
         }
     }
 
@@ -155,10 +118,10 @@ impl HandoffConfig {
         self
     }
 
-    /// Enables deadline-abort and MC crash/reconnect transitions.
+    /// Enables deadline firings.
     #[must_use]
     pub fn faulty(mut self) -> Self {
-        self.max_faults = 2;
+        self.max_deadlines = 2;
         self
     }
 
@@ -166,13 +129,6 @@ impl HandoffConfig {
     #[must_use]
     pub fn ghosts(mut self) -> Self {
         self.max_dups = 1;
-        self
-    }
-
-    /// Seeds a deliberate handoff mutation.
-    #[must_use]
-    pub fn with_fault(mut self, fault: HandoffFault) -> Self {
-        self.fault = Some(fault);
         self
     }
 }
@@ -186,7 +142,7 @@ pub struct HandoffReport {
     pub depth: usize,
     /// Whether backbone-loss transitions were explored.
     pub lossy: bool,
-    /// Whether abort/crash transitions were explored.
+    /// Whether deadline transitions were explored.
     pub faulty: bool,
     /// Whether commit-ghost transitions were explored.
     pub ghosts: bool,
@@ -205,376 +161,204 @@ impl HandoffReport {
     }
 }
 
-/// The handoff flight in progress: which leg is on the backbone, under
-/// which epoch, and how many billed legs are at risk.
+/// One leg attempt on the backbone, as the machine asked for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Flight {
-    origin: u8,
-    target: u8,
-    epoch: u8,
+struct Leg {
+    epoch: u64,
     leg: HandoffLeg,
-    /// Billed legs of this flight, settled on commit or written off on
-    /// abort.
-    messages: u64,
-    /// Whether the StateTransfer leg has landed at the target.
-    transfer_landed: bool,
+    attempt: u32,
 }
 
-/// A duplicated HandoffCommit still wandering the backbone: the epoch it
-/// was fenced with and the target it would re-commit to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Ghost {
-    epoch: u8,
-    target: u8,
-}
-
-/// The full checker state: ownership facts × flight × ghost × billing ×
-/// remaining budgets. Equality/hashing over all of it drives
-/// deduplication.
+/// The machine plus what the network and the observer own. Equality and
+/// hashing over all of it drive deduplication.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct State {
-    /// The cell the MC currently resides in.
-    mc_cell: u8,
-    /// Bitmask of cells that consider themselves in charge of the window.
-    owner_mask: u8,
-    /// The cell physically holding the current window state.
-    window_at: u8,
-    /// Bitmask of cells retaining a stale replica awaiting invalidation.
-    stale_mask: u8,
-    /// Current handoff epoch (bumped at every initiation).
-    epoch: u8,
-    flight: Option<Flight>,
-    ghost: Option<Ghost>,
-    billed: u64,
-    settled: u64,
-    aborted: u64,
-    invalidation_billed: u64,
-    invalidation_expected: u64,
+    machine: HandoffMachine,
+    /// The leg attempt on the backbone.
+    air: Option<Leg>,
+    /// The epoch of a duplicated commit still wandering the backbone.
+    ghost: Option<u64>,
+    /// The epoch of the last deadline armed and not yet fired.
+    deadline: Option<u64>,
+    /// Where the current flight's StateTransfer landed, if it has.
+    landed: Option<usize>,
+    /// The cell holding the window state the last commit installed.
+    window_at: usize,
     migrations_left: u8,
     losses_left: u8,
-    faults_left: u8,
+    deadlines_left: u8,
     dups_left: u8,
 }
 
 impl State {
     fn initial(config: &HandoffConfig) -> Self {
         State {
-            mc_cell: 0,
-            owner_mask: 1,
-            window_at: 0,
-            stale_mask: 0,
-            epoch: 0,
-            flight: None,
+            machine: HandoffMachine::new(usize::from(config.cells), 0, false),
+            air: None,
             ghost: None,
-            billed: 0,
-            settled: 0,
-            aborted: 0,
-            invalidation_billed: 0,
-            invalidation_expected: 0,
+            deadline: None,
+            landed: None,
+            window_at: 0,
             migrations_left: config.max_migrations,
             losses_left: config.max_losses,
-            faults_left: config.max_faults,
+            deadlines_left: config.max_deadlines,
             dups_left: config.max_dups,
         }
     }
 
-    /// Bills one backbone leg onto the current flight. The
-    /// [`HandoffFault::FreeHandoffLeg`] mutant puts the leg on the wire
-    /// without billing it.
-    fn bill_leg(&mut self, config: &HandoffConfig) {
-        if config.fault != Some(HandoffFault::FreeHandoffLeg) {
-            self.billed += 1;
-        }
-        if let Some(flight) = &mut self.flight {
-            flight.messages += 1;
-        }
-    }
-
-    /// Starts a new handoff flight from the owner cell toward the MC's
-    /// current cell, under a fresh epoch, billing the request leg.
-    fn initiate(&mut self, config: &HandoffConfig) {
-        debug_assert!(self.flight.is_none(), "one flight at a time");
-        let origin = self.owner_mask.trailing_zeros() as u8;
-        self.epoch = self.epoch.wrapping_add(1);
-        self.flight = Some(Flight {
-            origin,
-            target: self.mc_cell,
-            epoch: self.epoch,
-            leg: HandoffLeg::Request,
-            messages: 0,
-            transfer_landed: false,
-        });
-        self.bill_leg(config);
-    }
-
-    /// Applies the commit effects for `target`: ownership moves, the
-    /// origin's replica goes stale, and the invalidation fan-out is
-    /// billed (or, under [`HandoffFault::SkipInvalidation`], silently
-    /// skipped while the bookkeeping still demands it).
-    fn commit(&mut self, config: &HandoffConfig, origin: u8, target: u8, transfer_landed: bool) {
-        self.owner_mask = 1 << target;
-        if transfer_landed {
-            self.window_at = target;
-        }
-        if origin != target {
-            self.stale_mask |= 1 << origin;
-        }
-        self.stale_mask &= !(1 << target);
-        let stale = u64::from(self.stale_mask.count_ones());
-        self.invalidation_expected += stale;
-        if config.fault != Some(HandoffFault::SkipInvalidation) {
-            self.invalidation_billed += stale;
-            self.stale_mask = 0;
-        }
-    }
-
-    /// Aborts the in-flight handoff: its billed legs are written off and
-    /// ownership rolls back to the origin cell — unless the
-    /// [`HandoffFault::SkipRollback`] mutant forgets that step.
-    fn abort(&mut self, config: &HandoffConfig) {
-        let Some(flight) = self.flight.take() else {
-            return;
-        };
-        self.aborted += flight.messages;
-        if flight.transfer_landed {
-            // The target holds a snapshot that never became
-            // authoritative: a stale replica awaiting invalidation.
-            self.stale_mask |= 1 << flight.target;
-            self.stale_mask &= !self.owner_mask;
-        }
-        if config.fault == Some(HandoffFault::SkipRollback) {
-            // Mutant: the origin already relinquished the window, but the
-            // commit never happened — nobody owns it.
-            self.owner_mask &= !(1 << flight.origin);
+    /// Acts on the machine's outputs the way the network would: a leg
+    /// goes in the air, the deadline is armed, an abort drops the fenced
+    /// flight's leg, and a commit installs the transferred window where
+    /// the transfer landed.
+    fn observe(&mut self, outputs: HandoffOutputs) {
+        for output in outputs {
+            match output {
+                HandoffOutput::SendLeg {
+                    epoch,
+                    leg,
+                    attempt,
+                } => {
+                    self.air = Some(Leg {
+                        epoch,
+                        leg,
+                        attempt,
+                    });
+                }
+                HandoffOutput::ArmDeadline { epoch } => {
+                    self.deadline = Some(epoch);
+                    self.landed = None;
+                }
+                HandoffOutput::Committed => {
+                    if let Some(cell) = self.landed.take() {
+                        self.window_at = cell;
+                    }
+                }
+                HandoffOutput::Aborted => self.air = None,
+                HandoffOutput::Discarded => {}
+            }
         }
     }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Transition {
-    /// The MC moves to another cell; an in-flight handoff aborts and a
-    /// new one starts toward the new cell.
-    Migrate(u8),
-    /// The leg on the backbone lands at the target.
-    DeliverLeg,
-    /// The leg on the backbone is lost and retransmitted (re-billed).
-    LoseLeg,
-    /// The handoff deadline fires: abort, roll back, re-initiate.
-    DeadlineAbort,
-    /// The MC crashes and reconnects: the in-flight handoff aborts and
-    /// reconnection re-initiates it if the MC is away from the owner.
-    CrashReconnect,
-    /// The backbone duplicates the in-flight commit leg.
-    DuplicateCommit,
-    /// A duplicated (possibly long-delayed, reordered past later
-    /// handoffs) commit ghost lands.
-    DeliverGhost,
+    /// The MC moves to another cell.
+    Migrate(usize),
+    /// The leg on the backbone lands.
+    Deliver(Leg),
+    /// The leg on the backbone is lost; its retransmission timer fires.
+    Lose(Leg),
+    /// The last armed deadline fires.
+    Deadline(u64),
+    /// The backbone duplicates the commit leg in the air.
+    Duplicate(Leg),
+    /// The duplicated commit lands (possibly long after later handoffs).
+    Ghost(u64),
 }
 
 impl Transition {
     fn name(self) -> String {
         match self {
             Transition::Migrate(cell) => format!("migrate({cell})"),
-            Transition::DeliverLeg => "deliver".to_owned(),
-            Transition::LoseLeg => "lose".to_owned(),
-            Transition::DeadlineAbort => "deadline".to_owned(),
-            Transition::CrashReconnect => "crash".to_owned(),
-            Transition::DuplicateCommit => "dup".to_owned(),
-            Transition::DeliverGhost => "ghost".to_owned(),
+            Transition::Deliver(l) => format!("deliver({:?}@{})", l.leg, l.epoch),
+            Transition::Lose(l) => format!("lose({:?}@{})", l.leg, l.epoch),
+            Transition::Deadline(epoch) => format!("deadline({epoch})"),
+            Transition::Duplicate(l) => format!("dup({:?}@{})", l.leg, l.epoch),
+            Transition::Ghost(epoch) => format!("ghost({epoch})"),
         }
     }
 }
 
 fn enabled(config: &HandoffConfig, state: &State) -> Vec<Transition> {
     let mut transitions = Vec::with_capacity(8);
-    if state.flight.is_some() {
-        transitions.push(Transition::DeliverLeg);
+    if let Some(leg) = state.air {
+        transitions.push(Transition::Deliver(leg));
         if state.losses_left > 0 {
-            transitions.push(Transition::LoseLeg);
+            transitions.push(Transition::Lose(leg));
         }
-        if state.faults_left > 0 {
-            transitions.push(Transition::DeadlineAbort);
+        if state.dups_left > 0 && state.ghost.is_none() && leg.leg == HandoffLeg::Commit {
+            transitions.push(Transition::Duplicate(leg));
         }
     }
     if state.migrations_left > 0 {
-        for cell in 0..config.cells {
-            if cell != state.mc_cell {
-                transitions.push(Transition::Migrate(cell));
-            }
+        let here = state.machine.mc_cell();
+        for cell in (0..usize::from(config.cells)).filter(|&c| c != here) {
+            transitions.push(Transition::Migrate(cell));
         }
     }
-    if state.faults_left > 0 {
-        transitions.push(Transition::CrashReconnect);
+    if let (Some(epoch), true) = (state.deadline, state.deadlines_left > 0) {
+        transitions.push(Transition::Deadline(epoch));
     }
-    if state.dups_left > 0
-        && state.ghost.is_none()
-        && state.flight.is_some_and(|f| f.leg == HandoffLeg::Commit)
-    {
-        transitions.push(Transition::DuplicateCommit);
-    }
-    if state.ghost.is_some() {
-        transitions.push(Transition::DeliverGhost);
+    if let Some(epoch) = state.ghost {
+        transitions.push(Transition::Ghost(epoch));
     }
     transitions
 }
 
-fn apply(config: &HandoffConfig, state: &mut State, transition: Transition) {
-    match transition {
+fn apply(state: &mut State, transition: Transition) {
+    let outputs = match transition {
         Transition::Migrate(cell) => {
-            debug_assert!(state.migrations_left > 0);
             state.migrations_left -= 1;
-            state.mc_cell = cell;
-            state.abort(config);
-            if state.owner_mask != 1 << state.mc_cell && state.owner_mask != 0 {
-                state.initiate(config);
-            }
+            state.machine.migrate(cell)
         }
-        Transition::DeliverLeg => {
-            let Some(flight) = state.flight else {
-                unreachable!("deliver is enabled only with a flight")
-            };
-            match flight.leg {
-                HandoffLeg::Request => {
-                    // The request landed; the origin ships the next leg —
-                    // the state transfer, or (mutant) the commit straight
-                    // away.
-                    let next = if config.fault == Some(HandoffFault::CommitWithoutTransfer) {
-                        HandoffLeg::Commit
-                    } else {
-                        HandoffLeg::Transfer
-                    };
-                    if let Some(f) = &mut state.flight {
-                        f.leg = next;
-                    }
-                    state.bill_leg(config);
-                }
-                HandoffLeg::Transfer => {
-                    if let Some(f) = &mut state.flight {
-                        f.transfer_landed = true;
-                        f.leg = HandoffLeg::Commit;
-                    }
-                    state.bill_leg(config);
-                }
-                HandoffLeg::Commit => {
-                    let Some(f) = state.flight.take() else {
-                        unreachable!("commit leg implies a flight")
-                    };
-                    state.settled += f.messages;
-                    state.commit(config, f.origin, f.target, f.transfer_landed);
-                }
+        Transition::Deliver(leg) => {
+            state.air = None;
+            let outputs = state.machine.leg_arrived(leg.epoch, leg.leg);
+            let discarded = outputs.into_iter().any(|o| o == HandoffOutput::Discarded);
+            if leg.leg == HandoffLeg::Transfer && !discarded {
+                state.landed = Some(state.machine.mc_cell());
             }
+            outputs
         }
-        Transition::LoseLeg => {
-            debug_assert!(state.losses_left > 0);
+        Transition::Lose(leg) => {
             state.losses_left -= 1;
-            // The backbone ARQ retransmits the lost leg; the repeat
-            // attempt is billed like the original.
-            state.bill_leg(config);
+            state.air = None;
+            state.machine.retry_due(leg.epoch, leg.leg, leg.attempt)
         }
-        Transition::DeadlineAbort => {
-            debug_assert!(state.faults_left > 0);
-            state.faults_left -= 1;
-            state.abort(config);
-            if state.owner_mask != 1 << state.mc_cell && state.owner_mask != 0 {
-                state.initiate(config);
-            }
+        Transition::Deadline(epoch) => {
+            state.deadlines_left -= 1;
+            state.deadline = None;
+            state.machine.deadline(epoch)
         }
-        Transition::CrashReconnect => {
-            debug_assert!(state.faults_left > 0);
-            state.faults_left -= 1;
-            state.abort(config);
-            // Reconnection re-initiates the migration-in-progress if the
-            // MC came back up away from the owner cell.
-            if state.owner_mask != 1 << state.mc_cell && state.owner_mask != 0 {
-                state.initiate(config);
-            }
-        }
-        Transition::DuplicateCommit => {
-            debug_assert!(state.dups_left > 0);
+        Transition::Duplicate(leg) => {
             state.dups_left -= 1;
-            let Some(flight) = state.flight else {
-                unreachable!("dup is enabled only with a commit in flight")
-            };
-            // Ghost copies are duplicates of an already-billed attempt:
-            // they ride free and must be fenced at delivery.
-            state.ghost = Some(Ghost {
-                epoch: flight.epoch,
-                target: flight.target,
-            });
+            state.ghost = Some(leg.epoch);
+            HandoffOutputs::default()
         }
-        Transition::DeliverGhost => {
-            let Some(ghost) = state.ghost.take() else {
-                unreachable!("ghost delivery is enabled only with a ghost")
-            };
-            let fresh = state
-                .flight
-                .is_some_and(|f| f.epoch == ghost.epoch && f.leg == HandoffLeg::Commit);
-            if fresh {
-                // The ghost overtook the original: it commits the live
-                // flight (exactly-once is per epoch, not per copy).
-                let Some(f) = state.flight.take() else {
-                    unreachable!("fresh ghost implies a flight")
-                };
-                state.settled += f.messages;
-                state.commit(config, f.origin, f.target, f.transfer_landed);
-            } else if config.fault == Some(HandoffFault::SkipEpochFence) {
-                // Mutant: the stale ghost is applied as if current,
-                // re-committing a finished handoff.
-                let origin = state.owner_mask.trailing_zeros().min(7) as u8;
-                state.commit(config, origin, ghost.target, false);
-            }
-            // Correct behavior: the epoch fence discards the stale ghost;
-            // nothing changes.
+        Transition::Ghost(epoch) => {
+            state.ghost = None;
+            state.machine.leg_arrived(epoch, HandoffLeg::Commit)
         }
-    }
+    };
+    state.observe(outputs);
 }
 
-/// Judges one reached state against the three handoff invariants.
+/// Judges one reached state against the handoff invariants.
 fn verify_state(state: &State, trace: &[Transition]) -> Result<(), HandoffViolation> {
     let violation = |invariant: HandoffInvariant, detail: String| HandoffViolation {
         invariant,
         detail,
         trace: trace.iter().map(|t| t.name()).collect(),
     };
-    let owners = state.owner_mask.count_ones();
-    if owners != 1 {
-        return Err(violation(
-            HandoffInvariant::SingleOwnerAcrossCells,
-            format!(
-                "{owners} cells own the window (mask {:#04b})",
-                state.owner_mask
-            ),
-        ));
+    let machine = &state.machine;
+    if !machine.in_flight() {
+        let (mc, owner) = (machine.mc_cell(), machine.owner_cell());
+        if mc != owner || owner != state.window_at || machine.stuck() {
+            return Err(violation(
+                HandoffInvariant::NoLostWindow,
+                format!(
+                    "quiescent with the MC at cell {mc}, the owner at cell {owner}, the \
+                     window state at cell {} (stuck: {})",
+                    state.window_at,
+                    machine.stuck()
+                ),
+            ));
+        }
     }
-    if state.flight.is_none() && state.owner_mask != 1 << state.window_at {
-        return Err(violation(
-            HandoffInvariant::NoLostWindow,
-            format!(
-                "owner mask {:#04b} but the window state sits at cell {}",
-                state.owner_mask, state.window_at
-            ),
-        ));
-    }
-    let in_flight = state.flight.map_or(0, |f| f.messages);
-    if state.billed != state.settled + state.aborted + in_flight {
-        return Err(violation(
-            HandoffInvariant::BillingIdentity,
-            format!(
-                "billed {} != settled {} + aborted {} + in-flight {}",
-                state.billed, state.settled, state.aborted, in_flight
-            ),
-        ));
-    }
-    if state.invalidation_billed != state.invalidation_expected {
-        return Err(violation(
-            HandoffInvariant::BillingIdentity,
-            format!(
-                "invalidation billed {} != expected {}",
-                state.invalidation_billed, state.invalidation_expected
-            ),
-        ));
-    }
-    Ok(())
+    machine
+        .ledger()
+        .check()
+        .map_err(|broken| violation(HandoffInvariant::BillingIdentity, broken))
 }
 
 /// Runs one bounded handoff exploration.
@@ -583,7 +367,7 @@ pub fn check_handoff(config: &HandoffConfig) -> HandoffReport {
         cells: config.cells,
         depth: config.depth,
         lossy: config.max_losses > 0,
-        faulty: config.max_faults > 0,
+        faulty: config.max_deadlines > 0,
         ghosts: config.max_dups > 0,
         states: 1,
         transitions: 0,
@@ -615,7 +399,7 @@ fn dfs(
     for transition in enabled(config, state) {
         let mut child = state.clone();
         trace.push(transition);
-        apply(config, &mut child, transition);
+        apply(&mut child, transition);
         report.transitions += 1;
         if let Err(v) = verify_state(&child, trace) {
             report.violations.push(v);
@@ -631,9 +415,9 @@ fn dfs(
     }
 }
 
-/// Explores the handoff protocol in all four modes — bare migrations,
-/// lossy backbone, abort/crash faults, commit ghosts — and the full
-/// composition, over 2 and 3 cells; returns one report per run.
+/// Explores the handoff in all five modes — bare migrations, lossy
+/// backbone, deadline aborts, deadlines with commit ghosts, and the full
+/// composition — over 2 and 3 cells; returns one report per run.
 pub fn handoff_sweep(depth: usize) -> Vec<HandoffReport> {
     let mut reports = Vec::new();
     for cells in [2u8, 3] {

@@ -2,7 +2,7 @@
 //!
 //! The generator derives mutants from the lexed token stream of the
 //! protocol-critical sources (`crates/core`, `crates/sim/src/{engine,
-//! journal,protocol,faults,sim,topology}.rs`,
+//! journal,protocol,faults,handoff,sim,topology}.rs`,
 //! `crates/verify/src/invariants.rs`):
 //!
 //! * operator swaps: `+`↔`-`, `<`→`<=`, `>`→`>=`, `<=`→`<`, `>=`→`>`,
@@ -399,6 +399,7 @@ pub(crate) fn target_files(root: &Path) -> Vec<String> {
         "crates/sim/src/journal.rs",
         "crates/sim/src/protocol.rs",
         "crates/sim/src/faults.rs",
+        "crates/sim/src/handoff.rs",
         "crates/sim/src/sim.rs",
         "crates/sim/src/topology.rs",
         "crates/verify/src/invariants.rs",
